@@ -244,16 +244,8 @@ def cmd_run(args) -> int:
         compress_time=comp_stats.t_c,
         decompress_time=comp_stats.t_d,
     )
-    t_rev = (
-        perfmodel.t_naive(p)
-        + perfmodel.recompute_overhead(p, m_plain)
-        + perfmodel.storage_overhead_plain(p, m_plain)
-    )
-    t_comb = (
-        perfmodel.t_naive(p)
-        + perfmodel.recompute_overhead(p, m_comb)
-        + perfmodel.storage_overhead_compressed(p, m_comb)
-    )
+    plain, comb = perfmodel.predict(p, m_plain, m_comb)
+    t_rev, t_comb = plain.total, comb.total
 
     def timed_run(m: int, cdc) -> float:
         acts = schedule.generate_schedule(params.nt, m)

@@ -44,8 +44,6 @@ __all__ = [
     "QuantCodec",
     "FixedRateCodec",
     "get_codec",
-    "encode",
-    "decode",
     "profile",
     "lossless_ratio",
 ]
@@ -374,14 +372,6 @@ def get_codec(name: str, tolerance: float | None = None, rate: float | None = No
             raise InvalidArgumentError("rate codec needs a bits-per-value rate")
         return FixedRateCodec(rate)
     raise InvalidArgumentError(f"unknown codec {name!r} (choose null, cast, quant, rate)")
-
-
-def encode(codec: Codec, field: np.ndarray) -> tuple[bytes, CodecStats]:
-    return codec.encode(field)
-
-
-def decode(codec: Codec, blob: bytes) -> np.ndarray:
-    return codec.decode(blob)
 
 
 def profile(codec: Codec, field: np.ndarray, repetitions: int = 5) -> CodecStats:

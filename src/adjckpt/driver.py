@@ -10,10 +10,12 @@ slowness m.
 
 ``execute`` drives any ``Stepper`` through a schedule produced by the
 schedule module, pulling checkpoints from a ``CheckpointStore`` through a
-codec.  Its register machine mirrors the one documented in
-``adjckpt.schedule``: the adjoint of step i consumes the bracketing states
-i and i+1, where state i+1 comes either from a PrimalCapture or is carried
-down from the previous adjoint step.
+codec.  It has no register machine of its own: ``schedule.run_schedule``,
+the interpreter behind ``schedule_stats`` too, walks the stream and calls
+back here for each accepted action.  A stream that breaks the machine's
+rules raises ``ScheduleValidationError`` at the index ``schedule_stats``
+reports; store and codec failures raise ``ExecutionError`` naming the
+action.
 """
 
 from __future__ import annotations
@@ -27,15 +29,7 @@ import numpy as np
 
 from .codecs import Codec
 from .errors import AdjCkptError, ExecutionError, InvalidArgumentError
-from .schedule import (
-    Advance,
-    AdjointStep,
-    Discard,
-    PrimalCapture,
-    Restore,
-    ScheduleAction,
-    Store,
-)
+from .schedule import ScheduleAction, ScheduleBackend, run_schedule
 from .store import CheckpointStore
 
 __all__ = [
@@ -366,6 +360,59 @@ class ExecutionResult:
     stats: ExecutionStats
 
 
+class _Sweep(ScheduleBackend):
+    """Executing backend of ``run_schedule``: steps the operator, moves checkpoints.
+
+    It holds the live state array, the upper state array and the adjoint;
+    which step each array belongs to is the interpreter's business.  The
+    store is reached only through ``put``/``get``/``free``.
+    """
+
+    def __init__(self, stepper: Stepper, store: CheckpointStore, codec: Codec):
+        self.stepper = stepper
+        self.ckpts = store
+        self.codec = codec
+        self.cur = stepper.initial_state()
+        self.upper: np.ndarray | None = None
+        self.adj = stepper.initial_adjoint()
+        self.stats = ExecutionStats()
+
+    def store(self, i: int, slot: int, state: int) -> None:
+        try:
+            self.ckpts.put(slot, state, self.cur, self.codec)
+        except AdjCkptError as exc:
+            raise ExecutionError(f"schedule action {i}: store slot {slot}: {exc}") from exc
+
+    def restore(self, i: int, slot: int, state: int) -> None:
+        try:
+            _, self.cur = self.ckpts.get(slot, self.codec)
+        except AdjCkptError as exc:
+            raise ExecutionError(f"schedule action {i}: restore slot {slot}: {exc}") from exc
+
+    def discard(self, i: int, slot: int) -> None:
+        try:
+            self.ckpts.free(slot)
+        except AdjCkptError as exc:
+            raise ExecutionError(f"schedule action {i}: discard slot {slot}: {exc}") from exc
+
+    def advance(self, i: int, from_step: int, to_step: int) -> None:
+        t0 = time.perf_counter()
+        for k in range(from_step, to_step):
+            self.cur = self.stepper.forward(self.cur, k)
+        self.stats.advance_seconds += time.perf_counter() - t0
+
+    def capture(self, i: int, step: int) -> None:
+        t0 = time.perf_counter()
+        self.upper = self.stepper.forward(self.cur, step)
+        self.stats.capture_seconds += time.perf_counter() - t0
+
+    def adjoint(self, i: int, step: int) -> None:
+        t0 = time.perf_counter()
+        self.adj = self.stepper.adjoint(self.adj, self.cur, self.upper, step)
+        self.stats.adjoint_seconds += time.perf_counter() - t0
+        self.upper = self.cur
+
+
 def execute(
     actions: list[ScheduleAction],
     stepper: Stepper,
@@ -374,82 +421,23 @@ def execute(
 ) -> ExecutionResult:
     """Run an adjoint sweep by following a schedule action stream.
 
-    Store and codec failures abort with the schedule position attached.
+    The stream is interpreted by ``schedule.run_schedule``, so it raises
+    ScheduleValidationError exactly where ``schedule_stats`` would.  Store
+    and codec failures abort with the schedule position attached.
     """
     n = stepper.nsteps
-    stats = ExecutionStats()
-    cur_step = 0
-    cur_state = stepper.initial_state()
-    upper: tuple[int, np.ndarray] | None = None
-    adj = stepper.initial_adjoint()
-    next_adjoint = n - 1
+    sweep = _Sweep(stepper, store, codec)
     put0 = store.counters.put_seconds
     get0 = store.counters.get_seconds
-
-    def fail(i: int, why: str) -> ExecutionError:
-        return ExecutionError(f"schedule action {i}: {why}")
-
-    for i, act in enumerate(actions):
-        if isinstance(act, Advance):
-            if cur_step != act.from_step:
-                raise fail(i, f"advance from {act.from_step} but live state is {cur_step}")
-            t0 = time.perf_counter()
-            for k in range(act.from_step, act.to_step):
-                cur_state = stepper.forward(cur_state, k)
-            stats.advance_seconds += time.perf_counter() - t0
-            stats.primal_steps += act.to_step - act.from_step
-            cur_step = act.to_step
-            upper = None
-        elif isinstance(act, Store):
-            if cur_step != act.state:
-                raise fail(i, f"store of state {act.state} but live state is {cur_step}")
-            try:
-                store.put(act.slot, act.state, cur_state, codec)
-            except AdjCkptError as exc:
-                raise fail(i, f"store slot {act.slot}: {exc}") from exc
-            stats.store_puts += 1
-        elif isinstance(act, Restore):
-            try:
-                step, state = store.get(act.slot, codec)
-            except AdjCkptError as exc:
-                raise fail(i, f"restore slot {act.slot}: {exc}") from exc
-            if step != act.state:
-                raise fail(i, f"slot {act.slot} holds state {step}, schedule expected {act.state}")
-            cur_step, cur_state = step, state
-            if upper is not None and upper[0] != cur_step + 1:
-                upper = None
-            stats.store_gets += 1
-        elif isinstance(act, PrimalCapture):
-            if cur_step != act.step:
-                raise fail(i, f"capture of step {act.step} but live state is {cur_step}")
-            t0 = time.perf_counter()
-            out = stepper.forward(cur_state, act.step)
-            stats.capture_seconds += time.perf_counter() - t0
-            stats.primal_steps += 1
-            upper = (act.step + 1, out)
-        elif isinstance(act, AdjointStep):
-            if act.step != next_adjoint:
-                raise fail(i, f"adjoint of step {act.step}, expected {next_adjoint}")
-            if cur_step != act.step or upper is None or upper[0] != act.step + 1:
-                raise fail(i, f"adjoint of step {act.step} without states {act.step} and {act.step + 1}")
-            t0 = time.perf_counter()
-            adj = stepper.adjoint(adj, cur_state, upper[1], act.step)
-            stats.adjoint_seconds += time.perf_counter() - t0
-            stats.adjoint_steps += 1
-            upper = (act.step, cur_state)
-            next_adjoint -= 1
-        elif isinstance(act, Discard):
-            try:
-                store.free(act.slot)
-            except AdjCkptError as exc:
-                raise fail(i, f"discard slot {act.slot}: {exc}") from exc
-        else:
-            raise fail(i, f"unknown action {act!r}")
-    if next_adjoint != -1:
-        raise ExecutionError(f"schedule ended with adjoint steps {next_adjoint}..0 missing")
+    counts = run_schedule(actions, n, sweep)
+    stats = sweep.stats
+    stats.primal_steps = n + counts.recompute_steps
+    stats.adjoint_steps = n
+    stats.store_puts = counts.writes
+    stats.store_gets = counts.reads
     stats.store_put_seconds = store.counters.put_seconds - put0
     stats.store_get_seconds = store.counters.get_seconds - get0
-    return ExecutionResult(adjoint=adj, stats=stats)
+    return ExecutionResult(adjoint=sweep.adj, stats=stats)
 
 
 # ---------------------------------------------------------------------------

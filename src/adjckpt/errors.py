@@ -17,17 +17,6 @@ class InfeasibleConfigurationError(AdjCkptError):
     category = "infeasible-configuration"
 
 
-class ScheduleValidationError(AdjCkptError):
-    """A schedule action stream violates the execution contract."""
-
-    category = "validation"
-
-    def __init__(self, index: int, reason: str):
-        self.index = index
-        self.reason = reason
-        super().__init__(f"action {index}: {reason}")
-
-
 class CapacityError(AdjCkptError):
     """A checkpoint does not fit in the store's byte budget."""
 
@@ -62,3 +51,18 @@ class CodecDecodeError(CodecError):
 
 class ExecutionError(AdjCkptError):
     category = "execution"
+
+
+class ScheduleValidationError(ExecutionError):
+    """A schedule action stream violates the execution contract.
+
+    Raised alike by validation and by execution, which share one
+    interpreter; ``index`` is the offending action's position.
+    """
+
+    category = "validation"
+
+    def __init__(self, index: int, reason: str):
+        self.index = index
+        self.reason = reason
+        super().__init__(f"action {index}: {reason}")

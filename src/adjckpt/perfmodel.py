@@ -14,6 +14,8 @@ write/read and shrinks each copy by the same ratio:
                  W * (S / (F B) + t_c) + R * (S / (F B) + t_d) as storage
 
 W and R are the write/read counts of the concrete generated schedule.
+``predict`` is the one place these terms are assembled: it returns each
+side split into forward, adjoint, recompute, copy, encode and decode time.
 Speedup is quoted against the plain-checkpointing time, so values above
 1.0 mean compression wins.
 """
@@ -32,6 +34,7 @@ from .schedule import recompute_count, schedule_counts
 
 __all__ = [
     "PerfParams",
+    "CostBreakdown",
     "RegimeReport",
     "SweepRow",
     "SWEEP_HEADER",
@@ -45,6 +48,7 @@ __all__ = [
     "storage_overhead_compressed",
     "t_revolve",
     "t_combined",
+    "predict",
     "speedup",
     "classify_regime",
     "sweep",
@@ -113,25 +117,58 @@ def _write_read_counts(p: PerfParams, m: int) -> tuple[int, int]:
     return counts.writes, counts.reads
 
 
-def storage_overhead_plain(p: PerfParams, m: int) -> float:
+def _storage(p: PerfParams, m: int, compressed: bool) -> tuple[float, float, float]:
+    """(copy, encode, decode) seconds for the generated schedule's writes and reads."""
     w, r = _write_read_counts(p, m)
-    return (w + r) * p.state_bytes / p.bandwidth
+    if not compressed:
+        return (w + r) * p.state_bytes / p.bandwidth, 0.0, 0.0
+    copy = (w + r) * p.state_bytes / (p.ratio * p.bandwidth)
+    return copy, w * p.compress_time, r * p.decompress_time
+
+
+def storage_overhead_plain(p: PerfParams, m: int) -> float:
+    return sum(_storage(p, m, compressed=False))
 
 
 def storage_overhead_compressed(p: PerfParams, m_compressed: int) -> float:
-    w, r = _write_read_counts(p, m_compressed)
-    copy = p.state_bytes / (p.ratio * p.bandwidth)
-    return w * (copy + p.compress_time) + r * (copy + p.decompress_time)
+    return sum(_storage(p, m_compressed, compressed=True))
 
 
+@dataclass(frozen=True)
+class CostBreakdown:
+    """Predicted seconds of one checkpointed sweep, term by term."""
+
+    forward: float  # the first forward pass
+    adjoint: float  # the reverse pass
+    recompute: float  # replayed forward steps
+    copy: float  # moving checkpoint bytes at ``bandwidth``
+    encode: float  # compressing every write
+    decode: float  # decompressing every read
+
+    @property
+    def total(self) -> float:
+        return self.forward + self.adjoint + self.recompute + self.copy + self.encode + self.decode
+
+
+def _breakdown(p: PerfParams, m: int, compressed: bool) -> CostBreakdown:
+    sweep_s = p.step_cost * p.nsteps
+    return CostBreakdown(sweep_s, sweep_s, recompute_overhead(p, m), *_storage(p, m, compressed))
+
+
+def predict(p: PerfParams, m_plain: int, m_comb: int) -> tuple[CostBreakdown, CostBreakdown]:
+    """Per-term predictions for plain checkpoints in ``m_plain`` slots and
+    compressed ones in ``m_comb`` slots, in that order."""
+    return _breakdown(p, m_plain, compressed=False), _breakdown(p, m_comb, compressed=True)
+
+
+# One side each: pricing the other side too would build its DP rows, which
+# at the compressed slot count of a paper-scale problem takes seconds.
 def t_revolve(p: PerfParams) -> float:
-    m = slots(p, compressed=False)
-    return t_naive(p) + recompute_overhead(p, m) + storage_overhead_plain(p, m)
+    return _breakdown(p, slots(p, compressed=False), compressed=False).total
 
 
 def t_combined(p: PerfParams) -> float:
-    m_c = slots(p, compressed=True)
-    return t_naive(p) + recompute_overhead(p, m_c) + storage_overhead_compressed(p, m_c)
+    return _breakdown(p, slots(p, compressed=True), compressed=True).total
 
 
 def speedup(p: PerfParams) -> float:
@@ -212,8 +249,8 @@ def _eval_point(p: PerfParams, axis: str, x: float) -> SweepRow:
         raise InvalidArgumentError(f"unknown sweep axis {axis!r} (choose {SWEEP_AXES})")
     m_plain = slots(q, compressed=False)
     m_c = slots(q, compressed=True)
-    tr = t_revolve(q)
-    tc = t_combined(q)
+    plain, comb = predict(q, m_plain, m_c)
+    tr, tc = plain.total, comb.total
     return SweepRow(
         x=x,
         speedup=tr / tc,

@@ -21,6 +21,13 @@ while a sweep through sparse checkpoints replays segments via ``Advance``
 and one ``PrimalCapture`` per uncaptured step.  Total primal executions of
 a generated stream equal ``n + p(n, m)`` by construction.
 
+``run_schedule`` is the machine's only interpreter.  ``schedule_stats`` runs
+it over a counting backend that only bounds the slots in use by ``m``;
+``driver.execute`` runs it over a backend that steps the operator and moves
+checkpoints through a store.  Both therefore accept the same streams, count
+the same replays, and reject a broken stream with the same
+``ScheduleValidationError`` (an ``ExecutionError``) at the same index.
+
 Ties in the argmin are broken toward the smallest split so that schedules
 are reproducible byte for byte.
 """
@@ -45,9 +52,11 @@ __all__ = [
     "Discard",
     "ScheduleAction",
     "ScheduleStats",
+    "ScheduleBackend",
     "recompute_count",
     "schedule_counts",
     "generate_schedule",
+    "run_schedule",
     "schedule_stats",
     "format_schedule",
     "parse_schedule",
@@ -298,30 +307,62 @@ def schedule_counts(n: int, m: int) -> ScheduleStats:
     )
 
 
-def schedule_stats(actions: Iterable[ScheduleAction], n: int, m: int) -> ScheduleStats:
-    """Count and validate an action stream against the execution contract.
+class ScheduleBackend:
+    """The effects of a schedule, as ``run_schedule`` drives them.
 
-    Raises ScheduleValidationError naming the first offending action index.
+    Each method runs one action after the interpreter has accepted it; ``i``
+    is the action's index in the stream.  A backend owns no rule of the
+    machine, it only raises when its own resource fails.  The methods here
+    do nothing, so a backend overrides only the effects it has.
     """
-    _check_args(n, m)
-    actions = list(actions)
+
+    def store(self, i: int, slot: int, state: int) -> None:
+        pass
+
+    def restore(self, i: int, slot: int, state: int) -> None:
+        pass
+
+    def discard(self, i: int, slot: int) -> None:
+        pass
+
+    def advance(self, i: int, from_step: int, to_step: int) -> None:
+        pass
+
+    def capture(self, i: int, step: int) -> None:
+        pass
+
+    def adjoint(self, i: int, step: int) -> None:
+        pass
+
+
+def run_schedule(
+    actions: Iterable[ScheduleAction], n: int, backend: ScheduleBackend
+) -> ScheduleStats:
+    """Walk an action stream reversing ``n`` steps through the register machine.
+
+    The one interpreter of the machine: it tracks the live state, the upper
+    state, which slot holds which state and the next adjoint step, counts
+    writes, reads, peak slots and primal steps, and calls ``backend`` for
+    every action it accepts.  Raises ScheduleValidationError naming the
+    first offending action; a stream that stops before adjoint step 0 fails
+    at the index one past its last action.
+    """
     slots: dict[int, int] = {}
-    cur: int | None = 0
+    cur = 0
     upper: int | None = None
     next_adjoint = n - 1
-    writes = reads = peak = 0
-    primal = 0
+    writes = reads = peak = primal = 0
+    i = -1
     for i, act in enumerate(actions):
         if isinstance(act, Store):
             if cur != act.state:
                 raise ScheduleValidationError(i, f"store of state {act.state} but live state is {cur}")
             if act.slot in slots:
                 raise ScheduleValidationError(i, f"slot {act.slot} already occupied")
+            backend.store(i, act.slot, act.state)
             slots[act.slot] = act.state
             writes += 1
             peak = max(peak, len(slots))
-            if len(slots) > m:
-                raise ScheduleValidationError(i, f"{len(slots)} slots in use, only {m} available")
         elif isinstance(act, Restore):
             if act.slot not in slots:
                 raise ScheduleValidationError(i, f"restore from empty slot {act.slot}")
@@ -329,6 +370,7 @@ def schedule_stats(actions: Iterable[ScheduleAction], n: int, m: int) -> Schedul
                 raise ScheduleValidationError(
                     i, f"slot {act.slot} holds state {slots[act.slot]}, not {act.state}"
                 )
+            backend.restore(i, act.slot, act.state)
             cur = act.state
             if upper != act.state + 1:
                 upper = None
@@ -338,6 +380,9 @@ def schedule_stats(actions: Iterable[ScheduleAction], n: int, m: int) -> Schedul
                 raise ScheduleValidationError(i, "advance must move forward")
             if cur != act.from_step:
                 raise ScheduleValidationError(i, f"advance from {act.from_step} but live state is {cur}")
+            if act.to_step > n:
+                raise ScheduleValidationError(i, f"advance to state {act.to_step} past the last state {n}")
+            backend.advance(i, act.from_step, act.to_step)
             primal += act.to_step - act.from_step
             cur = act.to_step
             upper = None
@@ -346,6 +391,7 @@ def schedule_stats(actions: Iterable[ScheduleAction], n: int, m: int) -> Schedul
                 raise ScheduleValidationError(i, f"capture of step {act.step} but live state is {cur}")
             if not 0 <= act.step < n:
                 raise ScheduleValidationError(i, f"step {act.step} out of range")
+            backend.capture(i, act.step)
             primal += 1
             upper = act.step + 1
         elif isinstance(act, AdjointStep):
@@ -357,21 +403,49 @@ def schedule_stats(actions: Iterable[ScheduleAction], n: int, m: int) -> Schedul
                 raise ScheduleValidationError(
                     i, f"adjoint of step {act.step} without states {act.step} and {act.step + 1} live"
                 )
+            backend.adjoint(i, act.step)
             upper = act.step
             next_adjoint -= 1
         elif isinstance(act, Discard):
             if act.slot not in slots:
                 raise ScheduleValidationError(i, f"discard of empty slot {act.slot}")
+            backend.discard(i, act.slot)
             del slots[act.slot]
         else:
             raise ScheduleValidationError(i, f"unknown action {act!r}")
     if next_adjoint != -1:
         raise ScheduleValidationError(
-            len(actions), f"stream ends with adjoint steps {next_adjoint}..0 missing"
+            i + 1, f"stream ends with adjoint steps {next_adjoint}..0 missing"
         )
     return ScheduleStats(
         recompute_steps=primal - n, writes=writes, reads=reads, peak_slots=peak
     )
+
+
+class _SlotBound(ScheduleBackend):
+    """Counting backend: runs nothing, only holds the stream to ``m`` slots."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self.used = 0
+
+    def store(self, i: int, slot: int, state: int) -> None:
+        self.used += 1
+        if self.used > self.m:
+            raise ScheduleValidationError(i, f"{self.used} slots in use, only {self.m} available")
+
+    def discard(self, i: int, slot: int) -> None:
+        self.used -= 1
+
+
+def schedule_stats(actions: Iterable[ScheduleAction], n: int, m: int) -> ScheduleStats:
+    """Count and validate an action stream against the execution contract.
+
+    Runs ``run_schedule`` with at most ``m`` slots in use; raises
+    ScheduleValidationError naming the first offending action index.
+    """
+    _check_args(n, m)
+    return run_schedule(actions, n, _SlotBound(m))
 
 
 # ---------------------------------------------------------------------------

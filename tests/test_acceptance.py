@@ -263,17 +263,8 @@ def test_criterion_9_model_matches_measurement():
         compress_time=cast_stats.t_c,
         decompress_time=cast_stats.t_d,
     )
-    predict_plain = (
-        perfmodel.t_naive(p)
-        + perfmodel.recompute_overhead(p, m_plain)
-        + perfmodel.storage_overhead_plain(p, m_plain)
-    )
-    predict_comb = (
-        perfmodel.t_naive(p)
-        + perfmodel.recompute_overhead(p, m_comb)
-        + perfmodel.storage_overhead_compressed(p, m_comb)
-    )
-    predicted_ratio = predict_plain / predict_comb
+    predict_plain, predict_comb = perfmodel.predict(p, m_plain, m_comb)
+    predicted_ratio = predict_plain.total / predict_comb.total
 
     def timed(m, codec):
         blob = codec.encode(probe)[0]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from adjckpt import codecs, driver, schedule
-from adjckpt.errors import ExecutionError, InvalidArgumentError
+from adjckpt.errors import ExecutionError, InvalidArgumentError, ScheduleValidationError
 from adjckpt.store import CheckpointStore
+from test_schedule import DRIFTED_STREAMS
 
 
 def null_store_for(stepper, m):
@@ -157,6 +158,9 @@ class TestExecutor:
         )
         assert res.stats.primal_steps == nt + schedule.recompute_count(nt, m)
         assert res.stats.adjoint_steps == nt
+        counted = schedule.schedule_stats(schedule.generate_schedule(nt, m), nt, m)
+        assert res.stats.store_puts == counted.writes
+        assert res.stats.store_gets == counted.reads
 
     def test_quantized_checkpoints_keep_gradient_close(self):
         params = driver.homogeneous_params((60,), nt=40)
@@ -194,6 +198,15 @@ class TestExecutor:
         ]
         with pytest.raises(ExecutionError):
             driver.execute(bad, stepper, null_store_for(stepper, 2), codecs.NullCodec())
+        for text, n, index in DRIFTED_STREAMS:
+            acts = schedule.parse_schedule(text)
+            stepper = driver.WaveStepper(driver.homogeneous_params((40,), nt=n))
+            with pytest.raises(ScheduleValidationError) as err:
+                driver.execute(acts, stepper, null_store_for(stepper, 2), codecs.NullCodec())
+            assert err.value.index == index, text
+            with pytest.raises(ScheduleValidationError) as err:
+                schedule.schedule_stats(acts, n, 2)
+            assert err.value.index == index, text
 
     def test_stats_report_phase_times(self):
         params = driver.homogeneous_params((50,), nt=30)

@@ -116,7 +116,45 @@ class TestGenerateSchedule:
         assert stats.recompute_steps == sched.recompute_count(n, m)
 
 
+# Complete-looking streams that break one rule of the machine: (text, n, index
+# of the first offending action).  Validation and execution must both reject
+# them there.
+DRIFTED_STREAMS = [
+    # backward advance
+    (
+        "STORE slot=0 state=0\nADVANCE from=0 to=2\nADVANCE from=2 to=1\n"
+        "CAPTURE step=1\nADJOINT step=1\nRESTORE slot=0 state=0\n"
+        "CAPTURE step=0\nADJOINT step=0\nDISCARD slot=0\n",
+        2,
+        2,
+    ),
+    # capture of step n, which does not exist
+    (
+        "STORE slot=0 state=0\nADVANCE from=0 to=2\nCAPTURE step=2\n"
+        "RESTORE slot=0 state=0\nADVANCE from=0 to=1\nCAPTURE step=1\n"
+        "ADJOINT step=1\nRESTORE slot=0 state=0\nCAPTURE step=0\n"
+        "ADJOINT step=0\nDISCARD slot=0\n",
+        2,
+        2,
+    ),
+    # advance past state n runs step n, which does not exist
+    (
+        "STORE slot=0 state=0\nADVANCE from=0 to=3\nRESTORE slot=0 state=0\n"
+        "ADVANCE from=0 to=1\nCAPTURE step=1\nADJOINT step=1\n"
+        "RESTORE slot=0 state=0\nCAPTURE step=0\nADJOINT step=0\nDISCARD slot=0\n",
+        2,
+        1,
+    ),
+]
+
+
 class TestValidation:
+    def test_drifted_streams_rejected(self):
+        for text, n, index in DRIFTED_STREAMS:
+            with pytest.raises(ScheduleValidationError) as err:
+                sched.schedule_stats(sched.parse_schedule(text), n, 1)
+            assert err.value.index == index, text
+
     def test_restore_before_store_rejected(self):
         bad = [sched.Restore(slot=0, state=0), sched.AdjointStep(step=0)]
         with pytest.raises(ScheduleValidationError) as err:
