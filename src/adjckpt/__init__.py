@@ -3,7 +3,7 @@
 The package bundles five pieces that together let you run and reason about
 memory-constrained adjoint (forward-then-reverse) computations:
 
-* ``schedule``   optimal binomial checkpoint schedules and their accounting,
+* ``schedule``   Revolve (binomial) checkpoint schedules and their accounting,
 * ``perfmodel``  an analytical wall-time model for checkpointing with and
   without compressed checkpoints, plus sweep generation,
 * ``codecs``     the checkpoint compression contract and three codecs,

@@ -8,10 +8,8 @@ Errors exit nonzero with one machine-parsable line on stderr:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,17 +22,6 @@ RUN_HEADER = (
     perfmodel.SWEEP_HEADER
     + ",measured_plain_s,measured_combined_s,measured_speedup,profiled_ratio,profiled_tc_s,profiled_td_s"
 )
-
-
-def _threads() -> int:
-    raw = os.environ.get("ADJCKPT_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise InvalidArgumentError(f"ADJCKPT_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise InvalidArgumentError(f"ADJCKPT_THREADS must be >= 1, got {val}")
-    return val
 
 
 def _positive(name):
@@ -122,7 +109,7 @@ def cmd_advise(args) -> int:
 def cmd_sweep(args) -> int:
     p = _model_params(args)
     lo, hi, samples = _parse_range(args.range)
-    rows = perfmodel.sweep(p, args.axis, lo, hi, samples, threads=_threads())
+    rows = perfmodel.sweep(p, args.axis, lo, hi, samples)
     _emit(perfmodel.rows_to_csv(rows), args.out)
     return 0
 
@@ -135,9 +122,12 @@ def cmd_verify_schedule(args) -> int:
         actions = schedule.generate_schedule(n, m)
     stats = schedule.schedule_stats(actions, n, m)
     expected = schedule.recompute_count(n, m)
-    if stats.recompute_steps != expected:
+    # The machine can carry a state down where Revolve replays it, so a
+    # checked stream may beat the Revolve count; a generated one must hit it.
+    cheaper = args.check is not None and stats.recompute_steps < expected
+    if stats.recompute_steps != expected and not cheaper:
         raise InvalidArgumentError(
-            f"schedule replays {stats.recompute_steps} steps, optimum is {expected}"
+            f"schedule replays {stats.recompute_steps} steps, the Revolve count is {expected}"
         )
     if args.out:
         Path(args.out).write_text(schedule.format_schedule(actions))
@@ -146,6 +136,7 @@ def cmd_verify_schedule(args) -> int:
     print(
         f"ok: n={n} m={m} recompute_steps={stats.recompute_steps} "
         f"writes={stats.writes} reads={stats.reads} peak_slots={stats.peak_slots}"
+        + (f", cheaper than the Revolve count {expected}" if cheaper else "")
     )
     return 0
 
@@ -188,26 +179,6 @@ def cmd_profile_codec(args) -> int:
     return 0
 
 
-def _calibrate(stepper: driver.WaveStepper, warmup: int = 4) -> tuple[float, list[np.ndarray]]:
-    """Median seconds per forward step, plus sampled states for profiling.
-
-    The first few steps are excluded: they pay one-time allocation and
-    cache-warming costs that no later step sees.
-    """
-    state = stepper.initial_state()
-    samples = [state]
-    times = []
-    for i in range(stepper.nsteps):
-        t0 = time.perf_counter()
-        state = stepper.forward(state, i)
-        times.append(time.perf_counter() - t0)
-        if i % max(1, stepper.nsteps // 4) == 0:
-            samples.append(state)
-    samples.append(state)
-    good = times[warmup:] if len(times) > warmup else times
-    return float(np.median(good)), samples
-
-
 def cmd_run(args) -> int:
     cfg = driver.load_benchmark_config(args.config)
     for key in ("nt", "slots", "codec", "tolerance", "budget_bytes", "grid"):
@@ -219,7 +190,7 @@ def cmd_run(args) -> int:
     codec = codecs.get_codec(cfg["codec"], tolerance=float(cfg["tolerance"]))
     null = codecs.NullCodec()
 
-    step_cost, samples = _calibrate(stepper)
+    step_cost, samples = driver.calibrate(stepper)
     probe = samples[-1]
     null_stats = codecs.profile(null, probe, repetitions=3)
     comp_stats = codecs.profile(codec, probe, repetitions=3)
@@ -244,8 +215,7 @@ def cmd_run(args) -> int:
         compress_time=comp_stats.t_c,
         decompress_time=comp_stats.t_d,
     )
-    plain, comb = perfmodel.predict(p, m_plain, m_comb)
-    t_rev, t_comb = plain.total, comb.total
+    row = perfmodel.evaluate(p, budget, m_plain, m_comb)
 
     def timed_run(m: int, cdc) -> float:
         acts = schedule.generate_schedule(params.nt, m)
@@ -257,24 +227,16 @@ def cmd_run(args) -> int:
     measured_plain = timed_run(m_plain, null)
     measured_comb = timed_run(m_comb, codec)
 
-    n = params.nt
-    row = perfmodel.SweepRow(
-        x=budget,
-        speedup=t_rev / t_comb,
-        t_revolve_s=t_rev,
-        t_combined_s=t_comb,
-        m_plain=m_plain,
-        m_compressed=m_comb,
-        p_plain=schedule.recompute_count(n, min(m_plain, n)),
-        p_compressed=schedule.recompute_count(n, min(m_comb, n)),
-    )
     csv = RUN_HEADER + "\n" + row.csv() + (
         f",{measured_plain!r},{measured_comb!r},{measured_plain / measured_comb!r},"
         f"{comp_stats.ratio!r},{comp_stats.t_c!r},{comp_stats.t_d!r}\n"
     )
-    print(f"grid={cfg['grid']} nt={n} codec={cfg['codec']} budget_bytes={budget:.6g}")
+    print(f"grid={cfg['grid']} nt={params.nt} codec={cfg['codec']} budget_bytes={budget:.6g}")
     print(f"m_plain={m_plain} m_compressed={m_comb} profiled_ratio={comp_stats.ratio:.3f}")
-    print(f"model:    plain {t_rev:.4f}s  combined {t_comb:.4f}s  speedup {t_rev / t_comb:.3f}")
+    print(
+        f"model:    plain {row.t_revolve_s:.4f}s  combined {row.t_combined_s:.4f}s  "
+        f"speedup {row.speedup:.3f}"
+    )
     print(
         f"measured: plain {measured_plain:.4f}s  combined {measured_comb:.4f}s  "
         f"speedup {measured_plain / measured_comb:.3f}"

@@ -327,7 +327,10 @@ class FixedRateCodec:
                 f"{floor_stats.output_bytes * 8 / arr.size:.2f} bits/value"
             )
         t0 = time.perf_counter()
-        lo, hi = tol_hi * 2.0**-60, tol_hi
+        # Below a few ulps of the largest value no tolerance can be honored
+        # (QuantCodec raises), so the search must not descend there.
+        floor = 4 * np.finfo(arr.dtype).eps * float(np.abs(arr).max())
+        lo, hi = max(tol_hi * 2.0**-60, floor), tol_hi
         blob, stats = floor_blob, floor_stats
         for _ in range(60):
             mid = float(np.sqrt(lo * hi))

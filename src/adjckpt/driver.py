@@ -46,6 +46,7 @@ __all__ = [
     "simulate",
     "adjoint_source_series",
     "reference_adjoint",
+    "calibrate",
     "dot_test",
     "execute",
     "load_benchmark_config",
@@ -292,6 +293,31 @@ def reference_adjoint(stepper: Stepper):
     for i in reversed(range(stepper.nsteps)):
         adj = stepper.adjoint(adj, states[i], states[i + 1], i)
     return adj
+
+
+# Forward steps left out of the calibrated step cost: they pay one-time
+# allocation and cache-warming costs that no later step sees.
+_CALIBRATION_WARMUP = 4
+
+
+def calibrate(stepper: Stepper) -> tuple[float, list[np.ndarray]]:
+    """Median seconds per forward step over one forward sweep, plus states.
+
+    The states are the initial one, samples every quarter of the sweep and
+    the final one, last; callers profile codecs on them.
+    """
+    state = stepper.initial_state()
+    samples = [state]
+    times = []
+    for i in range(stepper.nsteps):
+        t0 = time.perf_counter()
+        state = stepper.forward(state, i)
+        times.append(time.perf_counter() - t0)
+        if i % max(1, stepper.nsteps // 4) == 0:
+            samples.append(state)
+    samples.append(state)
+    good = times[_CALIBRATION_WARMUP:] if len(times) > _CALIBRATION_WARMUP else times
+    return float(np.median(good)), samples
 
 
 def adjoint_source_series(params: WaveParams, residuals: np.ndarray) -> np.ndarray:

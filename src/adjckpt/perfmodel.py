@@ -2,8 +2,9 @@
 
 The model predicts whether compressing checkpoints pays off.  Reversing
 ``nsteps`` steps costs a floor of one forward plus one reverse pass.  With
-``m`` checkpoint slots the schedule replays ``p(nsteps, m)`` extra steps,
-and every checkpoint write or read moves ``state_bytes`` across memory at
+``m`` checkpoint slots the generated schedule replays ``p(nsteps, m)``
+extra steps (Revolve's count, ``schedule.recompute_count``), and every
+checkpoint write or read moves ``state_bytes`` across memory at
 ``bandwidth``.  Compression multiplies the slot count by ``ratio`` (so the
 replay count drops) but charges ``compress_time``/``decompress_time`` per
 write/read and shrinks each copy by the same ratio:
@@ -16,6 +17,8 @@ write/read and shrinks each copy by the same ratio:
 W and R are the write/read counts of the concrete generated schedule.
 ``predict`` is the one place these terms are assembled: it returns each
 side split into forward, adjoint, recompute, copy, encode and decode time.
+``evaluate`` is the one place a prediction becomes a ``SweepRow``; ``sweep``,
+``adjckpt advise`` and ``adjckpt run`` all print rows it built.
 Speedup is quoted against the plain-checkpointing time, so values above
 1.0 mean compression wins.
 """
@@ -23,7 +26,6 @@ Speedup is quoted against the plain-checkpointing time, so values above
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -49,6 +51,7 @@ __all__ = [
     "t_revolve",
     "t_combined",
     "predict",
+    "evaluate",
     "speedup",
     "classify_regime",
     "sweep",
@@ -238,18 +241,10 @@ def _axis_values(axis: str, lo: float, hi: float, samples: int) -> list[float]:
     return [float(v) for v in np.geomspace(lo, hi, samples)]
 
 
-def _eval_point(p: PerfParams, axis: str, x: float) -> SweepRow:
-    if axis == "memory":
-        q = replace(p, memory_bytes=x)
-    elif axis == "compute-cost":
-        q = replace(p, step_cost=x)
-    elif axis == "nsteps":
-        q = replace(p, nsteps=int(x))
-    else:
-        raise InvalidArgumentError(f"unknown sweep axis {axis!r} (choose {SWEEP_AXES})")
-    m_plain = slots(q, compressed=False)
-    m_c = slots(q, compressed=True)
-    plain, comb = predict(q, m_plain, m_c)
+def evaluate(p: PerfParams, x: float, m_plain: int, m_comb: int) -> SweepRow:
+    """The model's row for plain checkpoints in ``m_plain`` slots against
+    compressed ones in ``m_comb`` slots, labelled ``x``."""
+    plain, comb = predict(p, m_plain, m_comb)
     tr, tc = plain.total, comb.total
     return SweepRow(
         x=x,
@@ -257,29 +252,27 @@ def _eval_point(p: PerfParams, axis: str, x: float) -> SweepRow:
         t_revolve_s=tr,
         t_combined_s=tc,
         m_plain=m_plain,
-        m_compressed=m_c,
-        p_plain=recompute_count(q.nsteps, min(m_plain, q.nsteps)),
-        p_compressed=recompute_count(q.nsteps, min(m_c, q.nsteps)),
+        m_compressed=m_comb,
+        p_plain=recompute_count(p.nsteps, min(m_plain, p.nsteps)),
+        p_compressed=recompute_count(p.nsteps, min(m_comb, p.nsteps)),
     )
 
 
-def sweep(
-    p: PerfParams,
-    axis: str,
-    lo: float,
-    hi: float,
-    samples: int,
-    threads: int = 1,
-) -> list[SweepRow]:
+def _eval_point(p: PerfParams, axis: str, x: float) -> SweepRow:
+    if axis == "memory":
+        q = replace(p, memory_bytes=x)
+    elif axis == "compute-cost":
+        q = replace(p, step_cost=x)
+    else:
+        q = replace(p, nsteps=int(x))
+    return evaluate(q, x, slots(q, compressed=False), slots(q, compressed=True))
+
+
+def sweep(p: PerfParams, axis: str, lo: float, hi: float, samples: int) -> list[SweepRow]:
     """Evaluate the model along one axis; rows come back ordered by x."""
     if axis not in SWEEP_AXES:
         raise InvalidArgumentError(f"unknown sweep axis {axis!r} (choose {SWEEP_AXES})")
-    xs = _axis_values(axis, lo, hi, samples)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda x: _eval_point(p, axis, x), xs))
-    else:
-        rows = [_eval_point(p, axis, x) for x in xs]
+    rows = [_eval_point(p, axis, x) for x in _axis_values(axis, lo, hi, samples)]
     return sorted(rows, key=lambda r: r.x)
 
 

@@ -1,8 +1,9 @@
-"""Optimal checkpoint schedules for forward-then-reverse computations.
+"""Revolve checkpoint schedules for forward-then-reverse computations.
 
 Reversing ``n`` forward steps with only ``m`` checkpoint slots forces some
-steps to be recomputed.  ``recompute_count`` evaluates the minimum number of
-recomputed steps by dynamic programming:
+steps to be recomputed.  ``recompute_count`` evaluates Revolve's replay count
+(Griewank & Walther, *Algorithm 799: Revolve*, ACM TOMS 2000) by dynamic
+programming:
 
     p(n, 1) = n(n-1)/2
     p(n, m) = 0                                             for m >= n
@@ -19,7 +20,10 @@ concrete action stream.  The stream drives a small register machine:
 adjoint sweep through fully stored states needs no recomputation at all,
 while a sweep through sparse checkpoints replays segments via ``Advance``
 and one ``PrimalCapture`` per uncaptured step.  Total primal executions of
-a generated stream equal ``n + p(n, m)`` by construction.
+a generated stream equal ``n + p(n, m)`` by construction.  ``p(n, m)`` is
+not the machine's minimum: carrying the upper state down is a move Revolve
+lacks, so a hand-written stream can replay fewer steps (for ``m = 1``, one
+fewer than ``n(n-1)/2``).
 
 ``run_schedule`` is the machine's only interpreter.  ``schedule_stats`` runs
 it over a counting backend that only bounds the slots in use by ``m``;
@@ -123,8 +127,7 @@ def _check_args(n: int, m: int) -> None:
 # every n up to the largest query seen so far.  Three closed forms keep the
 # table small: p(n, m) = 0 for n <= m, the quadratic m == 1 row, and the
 # near-full zone p(n, m) = n - m + 1 for m < n <= 2m - 1 (provable directly
-# from the recurrence).  Rows are immutable once published, so concurrent
-# readers are safe; a rebuild replaces the dict entry atomically.
+# from the recurrence).
 # ---------------------------------------------------------------------------
 
 _ROWS: dict[int, np.ndarray] = {}
@@ -176,7 +179,12 @@ def _ensure_rows(m: int, nmax: int) -> None:
 
 
 def recompute_count(n: int, m: int) -> int:
-    """Minimum number of recomputed primal steps to reverse n steps with m slots."""
+    """Revolve's count of recomputed primal steps to reverse n steps with m slots.
+
+    This is the optimum of Revolve's recurrence (Griewank & Walther, 2000),
+    which ``generate_schedule`` attains.  The carry-aware register machine
+    can beat it, so a valid stream may replay fewer steps.
+    """
     _check_args(n, m)
     if m >= n:
         return 0

@@ -72,13 +72,6 @@ class CheckpointStore:
     def bytes_used(self) -> int:
         return self._bytes_used
 
-    @property
-    def occupied(self) -> int:
-        return len(self._slots)
-
-    def holds(self, slot: int) -> bool:
-        return slot in self._slots
-
     def put(
         self,
         slot: int,

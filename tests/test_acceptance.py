@@ -236,15 +236,9 @@ def test_criterion_9_model_matches_measurement():
     cast = codecs.CastCodec()
     null = codecs.NullCodec()
 
-    # calibration: median step cost and a representative state
-    state = stepper.initial_state()
-    times = []
-    for i in range(params.nt):
-        s0 = time.perf_counter()
-        state = stepper.forward(state, i)
-        times.append(time.perf_counter() - s0)
-    step_cost = float(np.median(times[4:]))
-    probe = state
+    # calibration: median step cost and the final state as representative
+    step_cost, samples = driver.calibrate(stepper)
+    probe = samples[-1]
 
     null_stats = codecs.profile(null, probe, repetitions=5)
     cast_stats = codecs.profile(cast, probe, repetitions=5)

@@ -69,24 +69,6 @@ class TestSweep:
         run_cli(capsys, *argv, "--out", str(b))
         assert a.read_text() == b.read_text()
 
-    def test_thread_env_cap_accepted(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ADJCKPT_THREADS", "3")
-        out = tmp_path / "rows.csv"
-        code, _, _ = run_cli(
-            capsys, "sweep", "--nsteps", "100", "--state-bytes", "1e6",
-            "--memory", "3e6", "--ratio", "4", "--axis", "nsteps",
-            "--range", "50:100:4", "--out", str(out),
-        )
-        assert code == 0
-        monkeypatch.setenv("ADJCKPT_THREADS", "zero")
-        code, _, err = run_cli(
-            capsys, "sweep", "--nsteps", "100", "--state-bytes", "1e6",
-            "--memory", "3e6", "--ratio", "4", "--axis", "nsteps",
-            "--range", "50:100:4",
-        )
-        assert code != 0
-        assert err.startswith("error: invalid-argument:")
-
 
 class TestVerifySchedule:
     def test_prints_schedule_and_summary(self, capsys):
@@ -113,6 +95,33 @@ class TestVerifySchedule:
                                "--slots", "2", "--check", str(path))
         assert code != 0
         assert "error: invalid-argument:" in err
+
+    def test_carried_state_stream_accepted_below_revolve_count(self, capsys, tmp_path):
+        # state 1 is captured once and carried down by ADJOINT 1, so the
+        # stream replays 0 steps where Revolve's single-slot count is 1
+        path = tmp_path / "carry.txt"
+        path.write_text(
+            "STORE slot=0 state=0\nADVANCE from=0 to=1\nCAPTURE step=1\nADJOINT step=1\n"
+            "RESTORE slot=0 state=0\nADJOINT step=0\nDISCARD slot=0\n"
+        )
+        code, out, err = run_cli(capsys, "verify-schedule", "--nsteps", "2",
+                                 "--slots", "1", "--check", str(path))
+        assert (code, err) == (0, "")
+        assert "ok: n=2 m=1 recompute_steps=0" in out
+        assert "cheaper than the Revolve count 1" in out
+
+    @pytest.mark.parametrize("n", [3, 6, 11])
+    def test_generated_stream_without_final_capture_accepted(self, capsys, tmp_path, n):
+        # the last RESTORE of state 0 already has state 1 carried down
+        acts = schedule.generate_schedule(n, 1)
+        assert acts[-3] == schedule.PrimalCapture(step=0)
+        path = tmp_path / "trimmed.txt"
+        path.write_text(schedule.format_schedule(acts[:-3] + acts[-2:]))
+        code, out, _ = run_cli(capsys, "verify-schedule", "--nsteps", str(n),
+                               "--slots", "1", "--check", str(path))
+        assert code == 0
+        assert f"recompute_steps={n * (n - 1) // 2 - 1} " in out
+        assert f"cheaper than the Revolve count {n * (n - 1) // 2}" in out
 
     def test_error_line_is_single_and_machine_parsable(self, capsys):
         code, _, err = run_cli(capsys, "verify-schedule", "--nsteps", "0", "--slots", "1")
@@ -168,6 +177,10 @@ class TestRun:
         cells = lines[1].split(",")
         assert len(cells) == len(cli.RUN_HEADER.split(","))
         assert float(cells[8]) > 0 and float(cells[9]) > 0
+        row = dict(zip(cli.RUN_HEADER.split(","), cells))
+        assert float(row["speedup"]) == float(row["t_revolve_s"]) / float(row["t_combined_s"])
+        for m, p in (("m_plain", "p_plain"), ("m_compressed", "p_compressed")):
+            assert int(row[p]) == schedule.recompute_count(18, min(int(row[m]), 18))
 
     def test_flag_overrides(self, capsys):
         code, out, _ = run_cli(

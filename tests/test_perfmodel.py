@@ -136,12 +136,6 @@ class TestSweep:
         assert header == "x,speedup,t_revolve_s,t_combined_s,m_plain,m_compressed,p_plain,p_compressed"
         assert len(csv.splitlines()) == len(rows) + 1
 
-    def test_threaded_sweep_matches_serial(self):
-        p = params(nsteps=150, state_bytes=1e6, memory_bytes=4e6, ratio=4.0)
-        serial = pm.sweep(p, "compute-cost", 1e-3, 10.0, 9, threads=1)
-        threaded = pm.sweep(p, "compute-cost", 1e-3, 10.0, 9, threads=4)
-        assert serial == threaded
-
     def test_unknown_axis_rejected(self):
         with pytest.raises(InvalidArgumentError):
             pm.sweep(params(), "bananas", 1, 2, 3)
