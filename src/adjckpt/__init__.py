@@ -30,9 +30,7 @@ from .perfmodel import (
     classify_regime,
     slots,
     sweep,
-    t_combined,
     t_naive,
-    t_revolve,
 )
 from .schedule import (
     ScheduleStats,

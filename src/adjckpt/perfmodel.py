@@ -48,11 +48,8 @@ __all__ = [
     "recompute_overhead",
     "storage_overhead_plain",
     "storage_overhead_compressed",
-    "t_revolve",
-    "t_combined",
     "predict",
     "evaluate",
-    "speedup",
     "classify_regime",
     "sweep",
     "rows_to_csv",
@@ -162,20 +159,6 @@ def predict(p: PerfParams, m_plain: int, m_comb: int) -> tuple[CostBreakdown, Co
     """Per-term predictions for plain checkpoints in ``m_plain`` slots and
     compressed ones in ``m_comb`` slots, in that order."""
     return _breakdown(p, m_plain, compressed=False), _breakdown(p, m_comb, compressed=True)
-
-
-# One side each: pricing the other side too would build its DP rows, which
-# at the compressed slot count of a paper-scale problem takes seconds.
-def t_revolve(p: PerfParams) -> float:
-    return _breakdown(p, slots(p, compressed=False), compressed=False).total
-
-
-def t_combined(p: PerfParams) -> float:
-    return _breakdown(p, slots(p, compressed=True), compressed=True).total
-
-
-def speedup(p: PerfParams) -> float:
-    return t_revolve(p) / t_combined(p)
 
 
 def classify_regime(p: PerfParams) -> RegimeReport:

@@ -124,10 +124,11 @@ def _check_args(n: int, m: int) -> None:
 # Dynamic program
 #
 # Rows of the DP table are cached per slot count.  Row m holds p(n, m) for
-# every n up to the largest query seen so far.  Three closed forms keep the
-# table small: p(n, m) = 0 for n <= m, the quadratic m == 1 row, and the
-# near-full zone p(n, m) = n - m + 1 for m < n <= 2m - 1 (provable directly
-# from the recurrence).
+# every n up to the largest query seen so far.  The m == 1 row is the
+# quadratic closed form; every other row is built by the recurrence itself.
+# The near-full zone p(n, m) = n - m + 1 for m < n <= 2m - 1 (provable from
+# the recurrence) only lets ``recompute_count`` and ``_split`` answer such
+# queries without building rows.
 # ---------------------------------------------------------------------------
 
 _ROWS: dict[int, np.ndarray] = {}
@@ -139,32 +140,12 @@ def _row_m1(nmax: int) -> np.ndarray:
 
 
 def _build_row(m: int, nmax: int, prev: np.ndarray) -> np.ndarray:
-    row = np.zeros(nmax + 1, dtype=np.int64)
-    zone_hi = min(2 * m - 1, nmax)
-    if zone_hi > m:
-        row[m + 1 : zone_hi + 1] = np.arange(m + 1, zone_hi + 1) - m + 1
-    if nmax < 2 * m:
-        return row
-
-    big = np.int64(1) << 60
-    best = np.full(nmax + 1, big, dtype=np.int64)
-    # Splits k <= 2m-1 have closed-form head cost; one shifted pass per k
-    # covers every n at once.
-    for k in range(1, min(2 * m, nmax)):
-        head = k + int(row[k])
-        lo = max(2 * m, k + 1)
-        if lo > nmax:
-            break
-        best[lo:] = np.minimum(best[lo:], head + prev[lo - k : nmax + 1 - k])
-    # For n <= 3m - 2 no split k >= 2m can win (head cost alone exceeds the
-    # closed-form bound), so the vectorized minimum is already exact there.
-    seq_lo = max(2 * m, 3 * m - 1)
-    row[2 * m : seq_lo] = best[2 * m : seq_lo]
-    ks = np.arange(nmax + 1, dtype=np.int64)
-    for n in range(seq_lo, nmax + 1):
-        cand = ks[2 * m : n] + row[2 * m : n] + prev[n - 2 * m : 0 : -1]
-        val = cand.min() if cand.size else big
-        row[n] = min(int(best[n]), int(val))
+    row = np.full(nmax + 1, np.int64(1) << 60, dtype=np.int64)
+    row[: m + 1] = 0
+    # Split k lowers every later n at once; row[k] is final when k is reached.
+    for k in range(1, nmax):
+        lo = max(k + 1, m + 1)
+        np.minimum(row[lo:], k + row[k] + prev[lo - k : nmax + 1 - k], out=row[lo:])
     return row
 
 

@@ -26,7 +26,6 @@ __all__ = ["CheckpointStore"]
 class _Slot:
     step: int
     nbytes: int
-    stats: CodecStats
     blob: bytes | None = None
     path: Path | None = None
 
@@ -44,23 +43,14 @@ class StoreCounters:
 class CheckpointStore:
     """Holds encoded states in numbered slots under a hard byte budget.
 
-    ``bytes_used`` is the sum of stored blob lengths plus a fixed
-    ``slot_overhead_bytes`` of metadata per occupied slot (zero by default;
-    the blob envelope already self-describes).
+    ``bytes_used`` is the sum of stored blob lengths; the blob envelope
+    already self-describes, so slots carry no further metadata.
     """
 
-    def __init__(
-        self,
-        budget_bytes: int | float,
-        slot_overhead_bytes: int = 0,
-        spill_dir: str | Path | None = None,
-    ):
+    def __init__(self, budget_bytes: int | float, spill_dir: str | Path | None = None):
         if budget_bytes <= 0:
             raise InvalidArgumentError(f"budget must be positive, got {budget_bytes}")
-        if slot_overhead_bytes < 0:
-            raise InvalidArgumentError("slot overhead cannot be negative")
         self.budget_bytes = budget_bytes
-        self.slot_overhead_bytes = slot_overhead_bytes
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         if self.spill_dir is not None:
             self.spill_dir.mkdir(parents=True, exist_ok=True)
@@ -84,12 +74,8 @@ class CheckpointStore:
             raise InvalidArgumentError(f"slot {slot} occupied; pass overwrite=True to replace")
         t0 = time.perf_counter()
         blob, stats = codec.encode(fieldval)
-        need = len(blob) + self.slot_overhead_bytes
-        freed = (
-            self._slots[slot].nbytes + self.slot_overhead_bytes
-            if slot in self._slots
-            else 0
-        )
+        need = len(blob)
+        freed = self._slots[slot].nbytes if slot in self._slots else 0
         available = self.budget_bytes - (self._bytes_used - freed)
         if need > available:
             raise CapacityError(required=need, available=int(available))
@@ -98,9 +84,9 @@ class CheckpointStore:
         if self.spill_dir is not None:
             path = self.spill_dir / f"slot_{slot:04d}.ckpt"
             path.write_bytes(blob)
-            self._slots[slot] = _Slot(step, len(blob), stats, path=path)
+            self._slots[slot] = _Slot(step, need, path=path)
         else:
-            self._slots[slot] = _Slot(step, len(blob), stats, blob=blob)
+            self._slots[slot] = _Slot(step, need, blob=blob)
         self._bytes_used += need
         self.counters.puts += 1
         self.counters.bytes_written += len(blob)
@@ -123,6 +109,6 @@ class CheckpointStore:
         rec = self._slots.pop(slot, None)
         if rec is None:
             raise MissingCheckpointError(f"slot {slot} is empty")
-        self._bytes_used -= rec.nbytes + self.slot_overhead_bytes
+        self._bytes_used -= rec.nbytes
         if rec.path is not None:
             rec.path.unlink(missing_ok=True)

@@ -161,7 +161,7 @@ def test_criterion_7_asymptotic_speedup():
     for factor in (1e4, 1e5, 1e6):
         c = factor * (p.compress_time + p.decompress_time)
         q = replace(p, step_cost=c)
-        s = perfmodel.speedup(q)
+        s = perfmodel.evaluate(q, c, m, m_c).speedup
         assert abs(s - bound) / bound < 0.01, factor
     assert time.time() - t0 < 5.0
     _announce(7, f"speedup within 1% of the recompute-count bound {bound:.4f} for C >= 1e4 (t_c+t_d)")

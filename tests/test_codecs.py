@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -111,10 +111,12 @@ class TestQuantCodec:
         ),
         st.sampled_from([1e-1, 1e-4, 1e-8]),
     )
+    @example(x=np.array([5e-324]), rel_tol=0.1)
     @settings(max_examples=60, deadline=None)
     def test_property_error_bound(self, x, rel_tol):
         scale = np.abs(x).max()
-        tol = rel_tol * scale if scale > 0 else rel_tol
+        # rel_tol * scale underflows to 0.0 for a subnormal field
+        tol = max(rel_tol * scale, np.finfo(float).tiny) if scale > 0 else rel_tol
         codec = codecs.QuantCodec(tol)
         y = codec.decode(codec.encode(x)[0])
         assert np.abs(x - y).max(initial=0.0) <= tol

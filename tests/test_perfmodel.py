@@ -73,7 +73,8 @@ class TestTotals:
     def test_no_recompute_when_everything_fits(self):
         p = params(nsteps=50, memory_bytes=200 * 900e6)
         w, r = (lambda s: (s.writes, s.reads))(sched.schedule_counts(50, 50))
-        assert pm.t_revolve(p) == pytest.approx(
+        plain, _ = pm.predict(p, pm.slots(p, compressed=False), pm.slots(p, compressed=True))
+        assert plain.total == pytest.approx(
             pm.t_naive(p) + (w + r) * p.state_bytes / p.bandwidth
         )
 
@@ -98,9 +99,10 @@ class TestTotals:
             + sc.writes * (copy + 0.05)
             + sc.reads * (copy + 0.05)
         )
-        assert pm.t_revolve(p) == pytest.approx(hand_revolve, rel=1e-12)
-        assert pm.t_combined(p) == pytest.approx(hand_combined, rel=1e-12)
-        assert pm.speedup(p) > 1.0
+        plain, comb = pm.predict(p, m_plain, m_comp)
+        assert plain.total == pytest.approx(hand_revolve, rel=1e-12)
+        assert comb.total == pytest.approx(hand_combined, rel=1e-12)
+        assert pm.evaluate(p, p.memory_bytes, m_plain, m_comp).speedup > 1.0
 
 
 class TestRegimes:

@@ -1,3 +1,7 @@
+import hashlib
+import heapq
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +40,42 @@ def plain_dp_table(nmax, mmax):
     return table
 
 
+def machine_oracle(n, m):
+    """Fewest replayed steps of any stream the register machine accepts.
+
+    Dijkstra over (stored states, cur, upper, next adjoint): every action is
+    an edge priced by the primal steps it runs.  Slots are interchangeable,
+    so a node keeps the set of stored states, not the slot map.
+    """
+    start = (frozenset(), 0, None, n - 1)
+    dist = {start: 0}
+    tie = itertools.count()
+    heap = [(0, next(tie), start)]
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        stored, cur, upper, nxt = node
+        if nxt < 0:
+            return d - n
+        moves = []
+        if cur not in stored and len(stored) < m:
+            moves.append((0, (stored | {cur}, cur, upper, nxt)))  # store
+        for s in stored:
+            moves.append((0, (stored, s, upper if upper == s + 1 else None, nxt)))  # restore
+            moves.append((0, (stored - {s}, cur, upper, nxt)))  # discard
+        if cur < n:
+            moves.append((1, (stored, cur + 1, None, nxt)))  # advance one step
+            moves.append((1, (stored, cur, cur + 1, nxt)))  # capture
+        if cur == nxt and upper == nxt + 1:
+            moves.append((0, (stored, cur, nxt, nxt - 1)))  # adjoint
+        for w, nb in moves:
+            if nb not in dist or d + w < dist[nb]:
+                dist[nb] = d + w
+                heapq.heappush(heap, (d + w, next(tie), nb))
+    raise AssertionError(f"no stream reverses {n} steps with {m} slots")
+
+
 class TestRecomputeCount:
     def test_invalid_arguments(self):
         for n, m in [(0, 1), (1, 0), (0, 0), (-3, 2)]:
@@ -53,6 +93,18 @@ class TestRecomputeCount:
     def test_known_values(self):
         assert sched.recompute_count(4, 1) == 6
         assert sched.recompute_count(10, 3) == brute_recompute(10, 3)
+        # paper scale, N = 2500
+        for m, p in [(2, 115359), (8, 12074), (56, 3420), (84, 2454)]:
+            assert sched.recompute_count(2500, m) == p
+
+    def test_machine_oracle_never_beaten(self):
+        # Revolve's count bounds the carry-aware machine from above ...
+        for n in range(1, 11):
+            for m in range(1, 4):
+                assert machine_oracle(n, m) <= sched.recompute_count(n, m), (n, m)
+        # ... and with one slot the machine saves exactly one replay
+        for n in range(2, 11):
+            assert machine_oracle(n, 1) == n * (n - 1) // 2 - 1
 
     def test_matches_unmemoized_recursion(self):
         for n in range(1, 13):
@@ -114,6 +166,17 @@ class TestGenerateSchedule:
         stats = sched.schedule_stats(sched.generate_schedule(n, m), n, m)
         assert stats.peak_slots <= m
         assert stats.recompute_steps == sched.recompute_count(n, m)
+
+    @pytest.mark.parametrize(
+        "n,m,digest",
+        [
+            (200, 3, "93cadf735ae4c08c86fae627f74ec7fae854586392129127879a78c0b11f3478"),
+            (200, 41, "aeaa0047a5d5b992af7a79d64d0ba15826b45816d2ea994406efc3622195db58"),
+        ],
+    )
+    def test_stream_is_byte_stable(self, n, m, digest):
+        text = sched.format_schedule(sched.generate_schedule(n, m))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # Complete-looking streams that break one rule of the machine: (text, n, index

@@ -175,14 +175,3 @@ def test_spill_to_file_round_trip(tmp_path, state):
     store.free(2)
     assert not list(tmp_path.glob("*.ckpt"))
 
-
-def test_slot_overhead_counted():
-    codec = codecs.NullCodec()
-    fieldval = np.zeros(8)
-    size = blob_bytes(fieldval, codec)
-    store = CheckpointStore(budget_bytes=2 * (size + 64), slot_overhead_bytes=64)
-    store.put(0, 0, fieldval, codec)
-    store.put(1, 1, fieldval, codec)
-    assert store.bytes_used == 2 * (size + 64)
-    with pytest.raises(CapacityError):
-        store.put(2, 2, fieldval, codec)
