@@ -6,13 +6,15 @@ Three codecs cover the compression modes the performance model cares about:
 * ``CastCodec``       round trip through the next narrower float width,
   ratio exactly 2 and cheap,
 * ``QuantCodec``      absolute-error-bounded quantization: values snap to a
-  lattice of spacing ``2 * tolerance`` and each 4**d block stores its base
+  lattice of spacing ``1.5 * tolerance`` and each 4**d block stores its base
   index once plus bit-packed per-value offsets of minimal width.  Every
   reconstructed value lies within ``tolerance`` of the input.
 
 ``FixedRateCodec`` emulates a guaranteed-output-size mode by searching the
 quantizer tolerance until the payload hits the requested bits per value
-(within 5 percent; short payloads are zero-padded up to the target).
+(within 5 percent; short payloads are zero-padded up to the target).  The
+search prices each candidate from block bases and widths alone and packs
+bits only once, at the tolerance it settles on.
 
 All encoded blobs share one little-endian envelope so they can be written
 to disk and reread later:
@@ -26,11 +28,13 @@ small constant and would otherwise spoil exact ratio contracts.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 import struct
 import time
 import zlib
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,24 +198,65 @@ class CastCodec:
         return np.frombuffer(payload, dtype=narrow).astype(dtype).reshape(shape)
 
 
-def _block_slices(shape: tuple[int, ...]):
-    ranges = [range(0, s, _BLOCK) for s in shape]
-    for starts in itertools.product(*ranges):
-        yield tuple(slice(a, min(a + _BLOCK, s)) for a, s in zip(starts, shape))
+# Per-block header of the quant payload: value count, base index, bit width.
+_BLOCK_HEADER = np.dtype([("count", "<u2"), ("base", "<i8"), ("nbits", "u1")])
+_HEAD_BYTES = _BLOCK_HEADER.itemsize
 
 
-def _pack_bits(offsets: np.ndarray, nbits: int) -> bytes:
-    shifts = np.arange(nbits, dtype=np.uint64)
-    bits = ((offsets[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits, bitorder="little").tobytes()
+class _Grid(NamedTuple):
+    """The 4**d block grid of one shape, in payload order.
+
+    ``perm`` lists the flat indices grouped by block, blocks in C order and
+    values row-major inside each (edge blocks are partial); block ``b``
+    holds ``perm[starts[b] : starts[b] + counts[b]]``.
+    """
+
+    perm: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
 
 
-def _unpack_bits(buf: bytes, count: int, nbits: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(buf, np.uint8), count=count * nbits, bitorder="little")
-    shifts = np.arange(nbits, dtype=np.uint64)
-    return (bits.reshape(count, nbits).astype(np.uint64) << shifts).sum(
-        axis=1, dtype=np.uint64
-    )
+def _block_counts(shape: tuple[int, ...], k: int) -> np.ndarray:
+    """Values in each of the first ``k`` blocks of ``shape``'s grid."""
+    counts = np.ones(k, dtype=np.int64)
+    rest = np.arange(k)
+    for s in reversed(shape):
+        rest, b = np.divmod(rest, -(-s // _BLOCK))
+        counts *= np.minimum(_BLOCK, s - _BLOCK * b)
+    return counts
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(shape: tuple[int, ...]) -> _Grid:
+    block = np.zeros((), dtype=np.int64)
+    for s in shape:
+        block = block[..., None] * -(-s // _BLOCK) + np.arange(s) // _BLOCK
+    # a stable sort keeps each block's values in row-major order
+    perm = np.argsort(block.ravel(), kind="stable")
+    counts = _block_counts(shape, math.prod(-(-s // _BLOCK) for s in shape))
+    starts = np.cumsum(counts) - counts
+    for a in (perm, starts, counts):
+        a.setflags(write=False)
+    return _Grid(perm, starts, counts)
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of every element of a uint64 array below 2**63."""
+    nbits = np.frexp(x.astype(np.float64))[1].astype(np.int64)
+    # the float conversion can round up to the next power of two, never down
+    shift = np.maximum(nbits - 1, 0).astype(np.uint64)
+    return nbits - ((nbits > 0) & (x < (np.uint64(1) << shift)))
+
+
+def _block_bytes(counts: np.ndarray, nbits: np.ndarray) -> np.ndarray:
+    return _HEAD_BYTES + (counts * nbits + 7) // 8
+
+
+def _groups(counts: np.ndarray, nbits: np.ndarray):
+    """Yield (count, nbits, block indices) for each distinct shape of non-empty bit data."""
+    keys = nbits << 16 | counts
+    for key in np.unique(keys[nbits > 0]).tolist():
+        yield key & 0xFFFF, key >> 16, np.flatnonzero(keys == key)
 
 
 class QuantCodec:
@@ -224,9 +269,8 @@ class QuantCodec:
             raise InvalidArgumentError(f"tolerance must be positive, got {tolerance}")
         self.tolerance = float(tolerance)
 
-    def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
-        arr = _require_field(field)
-        t0 = time.perf_counter()
+    def _quantize(self, arr: np.ndarray):
+        """Block-ordered lattice indices of ``arr`` with each block's base and width."""
         # Lattice spacing 1.5 * tolerance instead of the nominal 2x: the
         # quarter-tolerance margin absorbs float64 reconstruction roundoff,
         # keeping the absolute-error contract exact down to tolerances a
@@ -237,19 +281,47 @@ class QuantCodec:
             raise CodecError("tolerance too small for the value range")
         # round-to-even keeps re-encoding a decoded field stable
         idx = np.round(scaled).astype(np.int64)
-        parts: list[bytes] = []
-        nblocks = 0
-        for slc in _block_slices(arr.shape):
-            blk = idx[slc].ravel()
-            base = int(blk.min())
-            offsets = (blk - base).astype(np.uint64)
-            nbits = int(offsets.max()).bit_length()
-            parts.append(struct.pack("<HqB", blk.size, base, nbits))
-            if nbits:
-                parts.append(_pack_bits(offsets, nbits))
-            nblocks += 1
-        payload = b"".join(parts)
-        header = struct.pack("<ddI", self.tolerance, step, nblocks)
+        approx = (idx.astype(np.float64) * step).astype(arr.dtype)
+        err = float(np.abs(arr - approx).max(initial=0.0))
+        if err > self.tolerance:
+            raise CodecError(
+                f"tolerance {self.tolerance:g} is below what float64 can honor "
+                f"for values of magnitude {np.abs(arr).max():g}"
+            )
+        grid = _grid(arr.shape)
+        if grid.counts.max() >= 2**16:
+            raise InvalidArgumentError(f"{arr.ndim}-d blocks overflow the u16 value count")
+        flat = idx.ravel()[grid.perm]
+        base = np.minimum.reduceat(flat, grid.starts)
+        top = np.maximum.reduceat(flat, grid.starts)
+        return grid, step, flat, base, _bit_length((top - base).astype(np.uint64)), err
+
+    def _payload_bytes(self, arr: np.ndarray) -> int:
+        """Payload size ``encode`` would produce, priced without packing any bits."""
+        grid, _step, _flat, _base, nbits, _err = self._quantize(arr)
+        return int(_block_bytes(grid.counts, nbits).sum())
+
+    def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
+        arr = _require_field(field)
+        t0 = time.perf_counter()
+        grid, step, flat, base, nbits, err = self._quantize(arr)
+        sizes = _block_bytes(grid.counts, nbits)
+        at = np.cumsum(sizes) - sizes
+        payload = np.zeros(int(sizes.sum()), dtype=np.uint8)
+        head = np.empty(len(base), dtype=_BLOCK_HEADER)
+        head["count"], head["base"], head["nbits"] = grid.counts, base, nbits
+        payload[at[:, None] + np.arange(_HEAD_BYTES)] = head.view(np.uint8).reshape(len(base), -1)
+        # little-endian bytes of each value's offset from its block's base
+        offsets = (flat - np.repeat(base, grid.counts)).astype("<u8").view(np.uint8).reshape(-1, 8)
+        for count, width, blocks in _groups(grid.counts, nbits):
+            rows = grid.starts[blocks][:, None] + np.arange(count)
+            bits = np.unpackbits(
+                offsets[rows, : (width + 7) // 8], axis=-1, count=width, bitorder="little"
+            ).reshape(len(blocks), count * width)
+            packed = np.packbits(bits, axis=-1, bitorder="little")
+            payload[(at[blocks] + _HEAD_BYTES)[:, None] + np.arange(packed.shape[1])] = packed
+        payload = payload.tobytes()
+        header = struct.pack("<ddI", self.tolerance, step, len(base))
         blob = (
             _envelope(_ID_QUANT, arr)
             + header
@@ -257,44 +329,64 @@ class QuantCodec:
             + struct.pack("<I", zlib.crc32(payload))
         )
         t_c = time.perf_counter() - t0
-        err = float(np.abs(arr - (idx.astype(np.float64) * step).astype(arr.dtype)).max(initial=0.0))
-        if err > self.tolerance:
-            raise CodecError(
-                f"tolerance {self.tolerance:g} is below what float64 can honor "
-                f"for values of magnitude {np.abs(arr).max():g}"
-            )
         return blob, CodecStats(
             arr.nbytes, len(payload), arr.nbytes / len(payload), t_c, 0.0, err
         )
 
     def decode(self, blob: bytes) -> np.ndarray:
         rd, dtype, shape = _open_envelope(blob, _ID_QUANT)
-        _tolerance, step, nblocks = rd.take("<ddI")
+        header_at = rd.pos
+        tolerance, step, nblocks = rd.take("<ddI")
+        # the codec header lies outside the checksum: check it against itself
+        if step != 1.5 * tolerance:
+            raise CodecDecodeError(header_at + 8, f"step {step!r} != 1.5 * tolerance {tolerance!r}")
+        grid_blocks = math.prod(-(-s // _BLOCK) for s in shape)
+        if nblocks != grid_blocks:
+            raise CodecDecodeError(header_at + 16, f"{nblocks} blocks, the grid has {grid_blocks}")
         payload_start = rd.pos
-        out = np.empty(shape, dtype=np.float64)
-        seen = 0
-        for slc in _block_slices(shape):
-            if seen == nblocks:
-                raise CodecDecodeError(rd.pos, "fewer blocks than the grid needs")
-            count, base, nbits = rd.take("<HqB")
-            view = out[slc]
-            if count != view.size:
-                raise CodecDecodeError(rd.pos - 11, f"block holds {count} values, grid expects {view.size}")
+        # Header-only scan: each block's start depends on the previous width.
+        # Every block takes at least a header, so a blob too short for all of
+        # them fails within the first `reach` blocks, before any array sized
+        # by its (unchecked) shape is built.
+        at = []
+        pos, size = payload_start, len(blob)
+        reach = min(nblocks, (size - payload_start) // _HEAD_BYTES + 1)
+        for expect in _block_counts(shape, reach).tolist():
+            if pos + _HEAD_BYTES > size:
+                raise CodecDecodeError(pos, "truncated blob")
+            count, nbits = blob[pos] | blob[pos + 1] << 8, blob[pos + 10]
+            if count != expect:
+                raise CodecDecodeError(pos, f"block holds {count} values, grid expects {expect}")
             if nbits > 63:
-                raise CodecDecodeError(rd.pos - 1, f"corrupt bit width {nbits}")
-            if nbits:
-                buf = rd.raw((count * nbits + 7) // 8)
-                offsets = _unpack_bits(buf, count, nbits).astype(np.int64)
-            else:
-                offsets = np.zeros(count, dtype=np.int64)
-            view[...] = ((base + offsets) * step).reshape(view.shape)
-            seen += 1
+                raise CodecDecodeError(pos + 10, f"corrupt bit width {nbits}")
+            at.append(pos)
+            pos += _HEAD_BYTES + (count * nbits + 7) // 8
+            if pos > size:
+                raise CodecDecodeError(at[-1] + _HEAD_BYTES, "truncated blob")
+        rd.pos = pos
+        grid = _grid(shape)
         _check_crc(rd, payload_start, rd.pos)
         tail = blob[rd.pos + 4 :]
         # zero padding after the checksum is legal (fixed-rate mode pads)
         if tail and any(tail):
             raise CodecDecodeError(rd.pos + 4, "trailing bytes after checksum")
-        return out.astype(dtype)
+        buf = np.frombuffer(blob, dtype=np.uint8)
+        at = np.array(at, dtype=np.int64)
+        head = buf[at[:, None] + np.arange(_HEAD_BYTES)].view(_BLOCK_HEADER)[:, 0]
+        # little-endian bytes of each value's offset from its block's base
+        offsets = np.zeros((grid.perm.size, 8), dtype=np.uint8)
+        for count, width, blocks in _groups(grid.counts, head["nbits"].astype(np.int64)):
+            nbytes = (count * width + 7) // 8
+            raw = buf[(at[blocks] + _HEAD_BYTES)[:, None] + np.arange(nbytes)]
+            bits = np.unpackbits(raw, axis=-1, count=count * width, bitorder="little")
+            value_bytes = np.packbits(bits.reshape(-1, width), axis=-1, bitorder="little")
+            rows = grid.starts[blocks][:, None] + np.arange(count)
+            offsets[rows.ravel(), : value_bytes.shape[1]] = value_bytes
+        offsets = offsets.view("<u8")[:, 0].astype(np.int64)
+        flat = (np.repeat(head["base"], grid.counts) + offsets) * step
+        out = np.empty(grid.perm.size, dtype=np.float64)
+        out[grid.perm] = flat
+        return out.reshape(shape).astype(dtype)
 
 
 class FixedRateCodec:
@@ -320,28 +412,27 @@ class FixedRateCodec:
         target = self._target_bytes(arr.size)
         span = float(arr.max() - arr.min()) if arr.size else 0.0
         tol_hi = max(span, abs(float(arr.max(initial=0.0))), 1.0)
-        floor_blob, floor_stats = QuantCodec(tol_hi).encode(arr)
-        if floor_stats.output_bytes > target * 1.05:
+        t0 = time.perf_counter()
+        floor_bytes = QuantCodec(tol_hi)._payload_bytes(arr)
+        if floor_bytes > target * 1.05:
             raise CodecError(
                 f"rate {self.rate} bits/value is below the format floor of "
-                f"{floor_stats.output_bytes * 8 / arr.size:.2f} bits/value"
+                f"{floor_bytes * 8 / arr.size:.2f} bits/value"
             )
-        t0 = time.perf_counter()
         # Below a few ulps of the largest value no tolerance can be honored
         # (QuantCodec raises), so the search must not descend there.
         floor = 4 * np.finfo(arr.dtype).eps * float(np.abs(arr).max())
         lo, hi = max(tol_hi * 2.0**-60, floor), tol_hi
-        blob, stats = floor_blob, floor_stats
+        best = tol_hi
         for _ in range(60):
             mid = float(np.sqrt(lo * hi))
-            cand_blob, cand_stats = QuantCodec(mid).encode(arr)
-            if cand_stats.output_bytes <= target:
-                blob, stats = cand_blob, cand_stats
-                hi = mid
+            if QuantCodec(mid)._payload_bytes(arr) <= target:
+                best = hi = mid
             else:
                 lo = mid
             if hi / lo < 1.0 + 1e-12:
                 break
+        blob, stats = QuantCodec(best).encode(arr)
         pad = max(0, target - stats.output_bytes)
         if pad:
             blob = blob + b"\x00" * pad

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -114,12 +118,68 @@ class TestQuantCodec:
     @example(x=np.array([5e-324]), rel_tol=0.1)
     @settings(max_examples=60, deadline=None)
     def test_property_error_bound(self, x, rel_tol):
-        scale = np.abs(x).max()
-        # rel_tol * scale underflows to 0.0 for a subnormal field
-        tol = max(rel_tol * scale, np.finfo(float).tiny) if scale > 0 else rel_tol
-        codec = codecs.QuantCodec(tol)
-        y = codec.decode(codec.encode(x)[0])
-        assert np.abs(x - y).max(initial=0.0) <= tol
+        _assert_round_trip_within_tolerance(x, rel_tol)
+
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=9),
+            elements=st.floats(-1e6, 1e6, allow_nan=False, width=64),
+        ),
+        st.sampled_from([1e-1, 1e-4, 1e-8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_error_bound_3d(self, x, rel_tol):
+        _assert_round_trip_within_tolerance(x, rel_tol)
+
+
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9),
+            elements=st.floats(-1e6, 1e6, allow_nan=False, width=64),
+        ),
+        st.sampled_from([1e-1, 1e-4, 1e-8]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_payload_matches_blockwise_reference(self, x, rel_tol):
+        tol = max(rel_tol * np.abs(x).max(), 1e-3)
+        blob = codecs.QuantCodec(tol).encode(x)[0]
+        envelope = 8 + 4 * x.ndim + 20
+        assert blob[envelope:-4] == _reference_quant_payload(x, tol)
+
+    def test_bit_length_matches_int(self):
+        values = [0, 1, 2, 3, 4, 255, 256] + [
+            2**k + d for k in (31, 52, 53, 54, 62) for d in (-1, 0, 1)
+        ]
+        got = codecs._bit_length(np.array(values, dtype=np.uint64))
+        assert got.tolist() == [v.bit_length() for v in values]
+
+
+def _reference_quant_payload(x, tol):
+    """The quant payload spelled out one 4**d block at a time."""
+    idx = np.round(x / (1.5 * tol)).astype(np.int64)
+    parts = []
+    for starts in itertools.product(*(range(0, s, 4) for s in x.shape)):
+        blk = idx[tuple(slice(a, a + 4) for a in starts)].ravel()
+        base = int(blk.min())
+        nbits = (int(blk.max()) - base).bit_length()
+        bits = [(int(v) - base) >> i & 1 for v in blk for i in range(nbits)]
+        parts.append(struct.pack("<HqB", blk.size, base, nbits))
+        parts.append(np.packbits(np.array(bits, dtype=np.uint8), bitorder="little").tobytes())
+    return b"".join(parts)
+
+
+def _assert_round_trip_within_tolerance(x, rel_tol):
+    scale = np.abs(x).max()
+    # rel_tol * scale underflows to 0.0 for a subnormal field
+    tol = max(rel_tol * scale, np.finfo(float).tiny) if scale > 0 else rel_tol
+    codec = codecs.QuantCodec(tol)
+    blob = codec.encode(x)[0]
+    y = codec.decode(blob)
+    assert y.shape == x.shape
+    assert np.abs(x - y).max(initial=0.0) <= tol
+    assert codec.encode(x)[0] == blob
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +250,98 @@ class TestFormat:
         blob[len(blob) // 2] ^= 0xFF
         with pytest.raises(CodecDecodeError):
             codecs.QuantCodec(1e-6).decode(bytes(blob))
+
+    # sha256 of each blob, recorded before the quantizer was vectorised: the
+    # blob format is frozen, so these must never change
+    GOLDEN = {
+        "1d-97": "a65c58021b63fc0422e31ce1d979fa9dc45d58100a1916850555ce804e888c02",
+        "2d-9x14": "efb3160d886ef971374bcf844bf38d56efea49a3a3adb3f13a1fa3138679dccd",
+        "3d-2x10x13": "ffff141f63cc208f6b6676db8aed52e839eea940df51790af491b399aa3eae10",
+        "float32": "c936eb812303da9922f824a2c4a4c321e1aacd3d111289cc7d2041056365c6fe",
+        "zeros": "ea30c22cd66b3d39aaab6aa0107a0750ece625a98e8fdaf6093509024f22948d",
+        "rate16": "69334557cbe8fddce388b44351a38bf5762daa5a45a0fb21344984ad1703d97a",
+    }
+
+    def test_quant_blobs_byte_stable(self):
+        rng = np.random.default_rng(2024)
+        cases = [
+            ("1d-97", codecs.QuantCodec(1e-3), rng.uniform(-3, 3, size=97)),
+            ("2d-9x14", codecs.QuantCodec(1e-5), rng.normal(size=(9, 14))),
+            ("3d-2x10x13", codecs.QuantCodec(1e-6), rng.normal(size=(2, 10, 13)) * 40.0),
+            ("float32", codecs.QuantCodec(1e-3), rng.normal(size=(6, 11)).astype(np.float32)),
+            # every block has nbits = 0
+            ("zeros", codecs.QuantCodec(1e-3), np.zeros((7, 5))),
+            ("rate16", codecs.FixedRateCodec(16.0), rng.normal(size=(12, 12))),
+        ]
+        for name, codec, x in cases:
+            digest = hashlib.sha256(codec.encode(x)[0]).hexdigest()
+            assert digest == self.GOLDEN[name], name
+
+
+# Layout of a quant blob of an 8x8 field: envelope 8 + 2*4 bytes, then the
+# header tolerance f64 @16, step f64 @24, nblocks u32 @32, then the payload's
+# four 16-value blocks, each a <HqB header (count, base, nbits) and its bits.
+_STEP_AT, _NBLOCKS_AT, _PAYLOAD_AT = 24, 32, 36
+
+
+def _quant_blob_8x8():
+    x = np.random.default_rng(12).normal(size=(8, 8))
+    return bytearray(codecs.QuantCodec(1e-6).encode(x)[0])
+
+
+def _decode_error(blob):
+    with pytest.raises(CodecDecodeError) as err:
+        codecs.QuantCodec(1e-6).decode(bytes(blob))
+    return err.value
+
+
+class TestQuantDecodeErrors:
+    def test_nblocks_above_grid_rejected(self):
+        blob = _quant_blob_8x8()
+        blob[_NBLOCKS_AT : _NBLOCKS_AT + 4] = (999).to_bytes(4, "little")
+        assert _decode_error(blob).offset == _NBLOCKS_AT
+
+    def test_nblocks_below_grid_rejected(self):
+        blob = _quant_blob_8x8()
+        blob[_NBLOCKS_AT : _NBLOCKS_AT + 4] = (3).to_bytes(4, "little")
+        _decode_error(blob)
+
+    def test_corrupt_step_rejected(self):
+        # the codec header lies outside the checksum
+        blob = _quant_blob_8x8()
+        blob[_STEP_AT + 7] ^= 0x01
+        assert _decode_error(blob).offset == _STEP_AT
+
+    def test_block_value_count_mismatch_rejected(self):
+        blob = _quant_blob_8x8()
+        blob[_PAYLOAD_AT] = 15
+        assert _decode_error(blob).offset == _PAYLOAD_AT
+
+    def test_bit_width_above_63_rejected(self):
+        blob = _quant_blob_8x8()
+        blob[_PAYLOAD_AT + 10] = 64
+        assert _decode_error(blob).offset == _PAYLOAD_AT + 10
+
+    def test_truncated_mid_block_rejected(self):
+        blob = _quant_blob_8x8()
+        bits_at = _PAYLOAD_AT + 11
+        bits_end = bits_at + (16 * blob[_PAYLOAD_AT + 10] + 7) // 8
+        assert bits_end > bits_at + 1
+        cuts = ((bits_end - 1, bits_at), (bits_at + 1, bits_at), (_PAYLOAD_AT + 5, _PAYLOAD_AT))
+        for cut, offset in cuts:
+            err = _decode_error(blob[:cut])
+            assert err.offset == offset
+            assert "truncated" in str(err)
+
+    def test_nonzero_bytes_after_checksum_rejected(self):
+        blob = _quant_blob_8x8()
+        end = len(blob)
+        assert _decode_error(blob + b"\x00\x07").offset == end
+
+    def test_zero_padding_after_checksum_accepted(self):
+        blob = _quant_blob_8x8()
+        codec = codecs.QuantCodec(1e-6)
+        assert np.array_equal(codec.decode(bytes(blob + b"\x00" * 9)), codec.decode(bytes(blob)))
 
 
 class TestProfile:
