@@ -4,7 +4,7 @@ Three codecs cover the compression modes the performance model cares about:
 
 * ``NullCodec``       bit-exact passthrough, ratio 1,
 * ``CastCodec``       round trip through the next narrower float width,
-  ratio exactly 2 and cheap,
+  ratio exactly 2 and cheap (both share one raw-payload body),
 * ``QuantCodec``      absolute-error-bounded quantization: values snap to a
   lattice of spacing ``1.5 * tolerance`` and each 4**d block stores its base
   index once plus bit-packed per-value offsets of minimal width.  Every
@@ -23,7 +23,8 @@ to disk and reread later:
     shape u32 * ndim | codec header | payload | crc32(payload) u32
 
 ``CodecStats.output_bytes`` counts the payload only; the envelope is a
-small constant and would otherwise spoil exact ratio contracts.
+small constant and would otherwise spoil exact ratio contracts.  Encoders
+do not time themselves; ``profile`` measures ``t_c`` and ``t_d``.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ _ID_QUANT = 2
 class CodecStats:
     """Byte counts and timings of one encode/decode round trip.
 
-    ``t_d`` and ``max_abs_error`` are zero until something measured them
-    (``profile`` fills both; ``encode`` alone only knows ``t_c``).
+    Encoders do not time themselves: ``t_c`` and ``t_d`` read zero until
+    ``profile`` measures them.  ``max_abs_error`` is zero unless the encoder
+    knows it (``QuantCodec``) or ``profile`` measured it.
     """
 
     input_bytes: int
@@ -92,39 +94,24 @@ def _require_field(field: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _envelope(codec_id: int, arr: np.ndarray) -> bytes:
-    head = struct.pack(
-        "<4sBBBB", _MAGIC, _VERSION, codec_id, _DTYPE_CODES[arr.dtype], arr.ndim
-    )
-    return head + struct.pack(f"<{arr.ndim}I", *arr.shape)
+def _seal(codec_id: int, arr: np.ndarray, header: bytes, payload: bytes) -> bytes:
+    """The blob of ``arr``: envelope, codec header, payload and checksum."""
+    head = struct.pack("<4sBBBB", _MAGIC, _VERSION, codec_id, _DTYPE_CODES[arr.dtype], arr.ndim)
+    shape = struct.pack(f"<{arr.ndim}I", *arr.shape)
+    return head + shape + header + payload + struct.pack("<I", zlib.crc32(payload))
 
 
-class _Reader:
-    """Cursor over an encoded blob; every read is bounds-checked."""
-
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.blob):
-            raise CodecDecodeError(self.pos, "truncated blob")
-        out = struct.unpack_from(fmt, self.blob, self.pos)
-        self.pos += size
-        return out
-
-    def raw(self, size: int) -> bytes:
-        if self.pos + size > len(self.blob):
-            raise CodecDecodeError(self.pos, "truncated blob")
-        out = self.blob[self.pos : self.pos + size]
-        self.pos += size
-        return out
+def _take(fmt: str, blob: bytes, at: int) -> tuple[tuple, int]:
+    """Unpack ``fmt`` at offset ``at``; return the values and the offset after them."""
+    end = at + struct.calcsize(fmt)
+    if end > len(blob):
+        raise CodecDecodeError(at, "truncated blob")
+    return struct.unpack_from(fmt, blob, at), end
 
 
-def _open_envelope(blob: bytes, expect_id: int) -> tuple[_Reader, np.dtype, tuple[int, ...]]:
-    rd = _Reader(blob)
-    magic, version, codec_id, dtype_code, ndim = rd.take("<4sBBBB")
+def _open_envelope(blob: bytes, expect_id: int) -> tuple[np.dtype, tuple[int, ...], int]:
+    """Check the envelope; return the dtype, the shape and the offset after them."""
+    (magic, version, codec_id, dtype_code, ndim), at = _take("<4sBBBB", blob, 0)
     if magic != _MAGIC:
         raise CodecDecodeError(0, f"bad magic {magic!r}")
     if version != _VERSION:
@@ -133,69 +120,63 @@ def _open_envelope(blob: bytes, expect_id: int) -> tuple[_Reader, np.dtype, tupl
         raise CodecDecodeError(5, f"blob written by codec id {codec_id}, expected {expect_id}")
     if dtype_code not in _CODES_DTYPE:
         raise CodecDecodeError(6, f"unknown dtype code {dtype_code}")
-    shape = rd.take(f"<{ndim}I")
-    return rd, _CODES_DTYPE[dtype_code], shape
+    shape, at = _take(f"<{ndim}I", blob, at)
+    return _CODES_DTYPE[dtype_code], shape, at
 
 
-def _check_crc(rd: _Reader, payload_start: int, payload_end: int) -> None:
-    stored = struct.unpack_from("<I", rd.blob, payload_end)[0] if payload_end + 4 <= len(rd.blob) else None
-    if stored is None:
+def _check_crc(blob: bytes, payload_start: int, payload_end: int) -> None:
+    if payload_end + 4 > len(blob):
         raise CodecDecodeError(payload_end, "truncated blob (missing checksum)")
-    actual = zlib.crc32(rd.blob[payload_start:payload_end])
-    if stored != actual:
+    stored = struct.unpack_from("<I", blob, payload_end)[0]
+    if stored != zlib.crc32(blob[payload_start:payload_end]):
         raise CodecDecodeError(payload_start, "payload checksum mismatch")
 
 
-class NullCodec:
+class _RawCodec:
+    """Stores the values themselves, each at the width ``_widths`` maps its dtype to."""
+
+    _id: int
+    _widths: dict[np.dtype, type]
+
+    def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
+        arr = _require_field(field)
+        with np.errstate(over="ignore"):
+            stored = arr.astype(self._widths[arr.dtype], copy=False)
+        # _require_field checked finiteness; only a narrower width can overflow
+        if stored is not arr and not np.all(np.isfinite(stored)):
+            raise CodecError("values overflow the narrower float width")
+        payload = stored.tobytes()
+        blob = _seal(self._id, arr, b"", payload)
+        return blob, CodecStats(arr.nbytes, len(payload), arr.nbytes / len(payload), 0.0, 0.0, 0.0)
+
+    def decode(self, blob: bytes) -> np.ndarray:
+        dtype, shape, start = _open_envelope(blob, self._id)
+        width = np.dtype(self._widths[dtype])
+        # exact ints: a corrupt shape cannot wrap to a small payload size
+        count = math.prod(shape)
+        end = start + count * width.itemsize
+        if end > len(blob):
+            raise CodecDecodeError(start, "truncated blob")
+        _check_crc(blob, start, end)
+        if len(blob) != end + 4:
+            raise CodecDecodeError(end + 4, "trailing bytes after checksum")
+        return np.frombuffer(blob, width, count, start).astype(dtype).reshape(shape)
+
+
+class NullCodec(_RawCodec):
     """Bit-exact passthrough; the do-nothing baseline."""
 
     name = "null"
-
-    def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
-        arr = _require_field(field)
-        t0 = time.perf_counter()
-        payload = arr.tobytes()
-        blob = _envelope(_ID_NULL, arr) + payload + struct.pack("<I", zlib.crc32(payload))
-        t_c = time.perf_counter() - t0
-        return blob, CodecStats(arr.nbytes, len(payload), arr.nbytes / len(payload), t_c, 0.0, 0.0)
-
-    def decode(self, blob: bytes) -> np.ndarray:
-        rd, dtype, shape = _open_envelope(blob, _ID_NULL)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = rd.pos
-        payload = rd.raw(count * dtype.itemsize)
-        _check_crc(rd, start, rd.pos)
-        if len(blob) != rd.pos + 4:
-            raise CodecDecodeError(rd.pos + 4, "trailing bytes after checksum")
-        return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    _id = _ID_NULL
+    _widths = {dtype: dtype.type for dtype in _DTYPE_CODES}
 
 
-class CastCodec:
+class CastCodec(_RawCodec):
     """Round trip through the next narrower float; payload is exactly half."""
 
     name = "cast"
-
-    def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
-        arr = _require_field(field)
-        t0 = time.perf_counter()
-        narrow = arr.astype(_NARROWER[arr.dtype])
-        if not np.all(np.isfinite(narrow)):
-            raise CodecError("values overflow the narrower float width")
-        payload = narrow.tobytes()
-        blob = _envelope(_ID_CAST, arr) + payload + struct.pack("<I", zlib.crc32(payload))
-        t_c = time.perf_counter() - t0
-        return blob, CodecStats(arr.nbytes, len(payload), arr.nbytes / len(payload), t_c, 0.0, 0.0)
-
-    def decode(self, blob: bytes) -> np.ndarray:
-        rd, dtype, shape = _open_envelope(blob, _ID_CAST)
-        narrow = np.dtype(_NARROWER[dtype])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = rd.pos
-        payload = rd.raw(count * narrow.itemsize)
-        _check_crc(rd, start, rd.pos)
-        if len(blob) != rd.pos + 4:
-            raise CodecDecodeError(rd.pos + 4, "trailing bytes after checksum")
-        return np.frombuffer(payload, dtype=narrow).astype(dtype).reshape(shape)
+    _id = _ID_CAST
+    _widths = _NARROWER
 
 
 # Per-block header of the quant payload: value count, base index, bit width.
@@ -303,7 +284,6 @@ class QuantCodec:
 
     def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
         arr = _require_field(field)
-        t0 = time.perf_counter()
         grid, step, flat, base, nbits, err = self._quantize(arr)
         sizes = _block_bytes(grid.counts, nbits)
         at = np.cumsum(sizes) - sizes
@@ -322,28 +302,22 @@ class QuantCodec:
             payload[(at[blocks] + _HEAD_BYTES)[:, None] + np.arange(packed.shape[1])] = packed
         payload = payload.tobytes()
         header = struct.pack("<ddI", self.tolerance, step, len(base))
-        blob = (
-            _envelope(_ID_QUANT, arr)
-            + header
-            + payload
-            + struct.pack("<I", zlib.crc32(payload))
-        )
-        t_c = time.perf_counter() - t0
-        return blob, CodecStats(
-            arr.nbytes, len(payload), arr.nbytes / len(payload), t_c, 0.0, err
-        )
+        blob = _seal(_ID_QUANT, arr, header, payload)
+        return blob, CodecStats(arr.nbytes, len(payload), arr.nbytes / len(payload), 0.0, 0.0, err)
 
     def decode(self, blob: bytes) -> np.ndarray:
-        rd, dtype, shape = _open_envelope(blob, _ID_QUANT)
-        header_at = rd.pos
-        tolerance, step, nblocks = rd.take("<ddI")
+        dtype, shape, header_at = _open_envelope(blob, _ID_QUANT)
+        (tolerance, step, nblocks), payload_start = _take("<ddI", blob, header_at)
         # the codec header lies outside the checksum: check it against itself
         if step != 1.5 * tolerance:
             raise CodecDecodeError(header_at + 8, f"step {step!r} != 1.5 * tolerance {tolerance!r}")
         grid_blocks = math.prod(-(-s // _BLOCK) for s in shape)
         if nblocks != grid_blocks:
             raise CodecDecodeError(header_at + 16, f"{nblocks} blocks, the grid has {grid_blocks}")
-        payload_start = rd.pos
+        # no encoder writes an empty field; the grid of such a shape could
+        # still be huge along its other axes
+        if not grid_blocks:
+            raise CodecDecodeError(8, "shape has an axis of length 0")
         # Header-only scan: each block's start depends on the previous width.
         # Every block takes at least a header, so a blob too short for all of
         # them fails within the first `reach` blocks, before any array sized
@@ -363,13 +337,12 @@ class QuantCodec:
             pos += _HEAD_BYTES + (count * nbits + 7) // 8
             if pos > size:
                 raise CodecDecodeError(at[-1] + _HEAD_BYTES, "truncated blob")
-        rd.pos = pos
         grid = _grid(shape)
-        _check_crc(rd, payload_start, rd.pos)
-        tail = blob[rd.pos + 4 :]
+        _check_crc(blob, payload_start, pos)
+        tail = blob[pos + 4 :]
         # zero padding after the checksum is legal (fixed-rate mode pads)
         if tail and any(tail):
-            raise CodecDecodeError(rd.pos + 4, "trailing bytes after checksum")
+            raise CodecDecodeError(pos + 4, "trailing bytes after checksum")
         buf = np.frombuffer(blob, dtype=np.uint8)
         at = np.array(at, dtype=np.int64)
         head = buf[at[:, None] + np.arange(_HEAD_BYTES)].view(_BLOCK_HEADER)[:, 0]
@@ -412,7 +385,6 @@ class FixedRateCodec:
         target = self._target_bytes(arr.size)
         span = float(arr.max() - arr.min()) if arr.size else 0.0
         tol_hi = max(span, abs(float(arr.max(initial=0.0))), 1.0)
-        t0 = time.perf_counter()
         floor_bytes = QuantCodec(tol_hi)._payload_bytes(arr)
         if floor_bytes > target * 1.05:
             raise CodecError(
@@ -437,13 +409,7 @@ class FixedRateCodec:
         if pad:
             blob = blob + b"\x00" * pad
         final_bytes = stats.output_bytes + pad
-        t_c = time.perf_counter() - t0
-        return blob, replace(
-            stats,
-            output_bytes=final_bytes,
-            ratio=arr.nbytes / final_bytes,
-            t_c=t_c,
-        )
+        return blob, replace(stats, output_bytes=final_bytes, ratio=arr.nbytes / final_bytes)
 
     def decode(self, blob: bytes) -> np.ndarray:
         return QuantCodec(1.0).decode(blob)
@@ -490,7 +456,7 @@ def profile(codec: Codec, field: np.ndarray, repetitions: int = 5) -> CodecStats
     return replace(stats, t_c=t_enc / repetitions, t_d=t_dec / repetitions, max_abs_error=err)
 
 
-def lossless_ratio(field: np.ndarray, level: int = 9) -> float:
-    """Compression ratio of a general-purpose lossless pass over the raw bytes."""
+def lossless_ratio(field: np.ndarray) -> float:
+    """Compression ratio of zlib at its highest level over the raw bytes."""
     raw = np.ascontiguousarray(field).tobytes()
-    return len(raw) / len(zlib.compress(raw, level))
+    return len(raw) / len(zlib.compress(raw, 9))

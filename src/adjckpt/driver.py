@@ -53,11 +53,9 @@ __all__ = [
 ]
 
 
-def ricker_wavelet(nt: int, dt: float, peak_freq: float, delay: float | None = None) -> np.ndarray:
-    """Band-limited source pulse: second derivative of a Gaussian."""
-    if delay is None:
-        delay = 1.0 / peak_freq
-    t = np.arange(nt) * dt - delay
+def ricker_wavelet(nt: int, dt: float, peak_freq: float) -> np.ndarray:
+    """Band-limited source pulse: second derivative of a Gaussian, peaking at 1 / peak_freq."""
+    t = np.arange(nt) * dt - 1.0 / peak_freq
     arg = (np.pi * peak_freq * t) ** 2
     return (1.0 - 2.0 * arg) * np.exp(-arg)
 
@@ -112,32 +110,25 @@ def homogeneous_params(
     velocity: float = 1500.0,
     spacing: float = 10.0,
     peak_freq: float = 12.0,
-    cfl_fraction: float = 0.5,
-    receivers: tuple[tuple[int, ...], ...] | None = None,
-    source: tuple[int, ...] | None = None,
 ) -> WaveParams:
-    """Convenience constructor: uniform medium, centered source, spread receivers."""
+    """Convenience constructor: uniform medium, centered source, spread receivers.
+
+    dt is half the stability limit; up to eight receivers span the first
+    axis, a quarter of the way down the second in 2D.
+    """
     ndim = len(shape)
     m = np.full(shape, 1.0 / velocity**2)
-    dt = cfl_fraction * spacing * np.sqrt(m.min()) / np.sqrt(ndim)
-    if source is None:
-        source = tuple(s // 2 for s in shape)
-    if receivers is None:
-        if ndim == 1:
-            xs = np.linspace(2, shape[0] - 3, 8).astype(int)
-            receivers = tuple((int(x),) for x in dict.fromkeys(xs.tolist()))
-        else:
-            xs = np.linspace(2, shape[0] - 3, 8).astype(int)
-            z = max(1, shape[1] // 4)
-            receivers = tuple((int(x), z) for x in dict.fromkeys(xs.tolist()))
+    dt = 0.5 * spacing * np.sqrt(m.min()) / np.sqrt(ndim)
+    xs = np.linspace(2, shape[0] - 3, 8).astype(int)
+    depth = (max(1, shape[1] // 4),) if ndim == 2 else ()
     return WaveParams(
         shape=tuple(shape),
         spacing=spacing,
         dt=dt,
         slowness_sq=m,
         wavelet=ricker_wavelet(nt, dt, peak_freq),
-        source=tuple(source),
-        receivers=receivers,
+        source=tuple(s // 2 for s in shape),
+        receivers=tuple((int(x), *depth) for x in dict.fromkeys(xs.tolist())),
         nt=nt,
     )
 
@@ -364,8 +355,6 @@ class ExecutionStats:
     advance_seconds: float = 0.0
     capture_seconds: float = 0.0
     adjoint_seconds: float = 0.0
-    store_put_seconds: float = 0.0
-    store_get_seconds: float = 0.0
 
     @property
     def forward_step_seconds(self) -> float:
@@ -453,16 +442,12 @@ def execute(
     """
     n = stepper.nsteps
     sweep = _Sweep(stepper, store, codec)
-    put0 = store.counters.put_seconds
-    get0 = store.counters.get_seconds
     counts = run_schedule(actions, n, sweep)
     stats = sweep.stats
     stats.primal_steps = n + counts.recompute_steps
     stats.adjoint_steps = n
     stats.store_puts = counts.writes
     stats.store_gets = counts.reads
-    stats.store_put_seconds = store.counters.put_seconds - put0
-    stats.store_get_seconds = store.counters.get_seconds - get0
     return ExecutionResult(adjoint=sweep.adj, stats=stats)
 
 

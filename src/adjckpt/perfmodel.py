@@ -107,19 +107,13 @@ def slots(p: PerfParams, compressed: bool) -> int:
 
 
 def recompute_overhead(p: PerfParams, m: int) -> float:
-    if m >= p.nsteps:
-        return 0.0
     return recompute_count(p.nsteps, m) * p.step_cost
-
-
-def _write_read_counts(p: PerfParams, m: int) -> tuple[int, int]:
-    counts = schedule_counts(p.nsteps, min(m, p.nsteps))
-    return counts.writes, counts.reads
 
 
 def _storage(p: PerfParams, m: int, compressed: bool) -> tuple[float, float, float]:
     """(copy, encode, decode) seconds for the generated schedule's writes and reads."""
-    w, r = _write_read_counts(p, m)
+    counts = schedule_counts(p.nsteps, m)
+    w, r = counts.writes, counts.reads
     if not compressed:
         return (w + r) * p.state_bytes / p.bandwidth, 0.0, 0.0
     copy = (w + r) * p.state_bytes / (p.ratio * p.bandwidth)
@@ -236,8 +230,8 @@ def evaluate(p: PerfParams, x: float, m_plain: int, m_comb: int) -> SweepRow:
         t_combined_s=tc,
         m_plain=m_plain,
         m_compressed=m_comb,
-        p_plain=recompute_count(p.nsteps, min(m_plain, p.nsteps)),
-        p_compressed=recompute_count(p.nsteps, min(m_comb, p.nsteps)),
+        p_plain=recompute_count(p.nsteps, m_plain),
+        p_compressed=recompute_count(p.nsteps, m_comb),
     )
 
 

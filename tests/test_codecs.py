@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,12 @@ class TestCastCodec:
         codec = codecs.CastCodec()
         y = codec.decode(codec.encode(x)[0])
         assert np.array_equal(y, x.astype(np.float32).astype(np.float64))
+
+    def test_overflow_raises_codec_error_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CodecError):
+                codecs.CastCodec().encode(np.array([1.0, 1e300]))
 
 
 TOLERANCE_LADDER = [10.0**-e for e in range(0, 16)]
@@ -277,6 +284,32 @@ class TestFormat:
             digest = hashlib.sha256(codec.encode(x)[0]).hexdigest()
             assert digest == self.GOLDEN[name], name
 
+    # sha256 of each raw-payload blob, recorded before NullCodec and CastCodec
+    # shared one body
+    RAW_GOLDEN = {
+        ("null", "float64"): "3ac571637f67b7b86c9361d82bcdf4645d4e50b0a43576a237b245a9c9d12ec4",
+        ("null", "float32"): "c6ddcb6db5602edae048965d5e82c53cf1d09d056d810d9f933536c859b96d7e",
+        ("cast", "float64"): "282a9160a4b3fa8350d3973ea5dd40d70e950a2457969ad279df0035aa2c8fad",
+        ("cast", "float32"): "52e697c480340aacbf06cfd8e60d91d0454dc439606fd58a82c5c5f0b3e2604e",
+    }
+
+    def test_raw_blobs_byte_stable(self):
+        rng = np.random.default_rng(2025)
+        x64 = rng.normal(size=(2, 10, 13)) * 40.0
+        fields = [x64, rng.normal(size=(2, 10, 13)).astype(np.float32)]
+        for codec in (codecs.NullCodec(), codecs.CastCodec()):
+            for x in fields:
+                digest = hashlib.sha256(codec.encode(x)[0]).hexdigest()
+                assert digest == self.RAW_GOLDEN[codec.name, x.dtype.name], (codec.name, x.dtype)
+
+    def test_raw_corrupt_shape_rejected(self):
+        # the element count of this shape wraps a 64-bit product
+        for codec in (codecs.NullCodec(), codecs.CastCodec()):
+            blob = bytearray(codec.encode(np.ones((2, 3)))[0])
+            blob[8:16] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
+            with pytest.raises(CodecDecodeError):
+                codec.decode(bytes(blob))
+
 
 # Layout of a quant blob of an 8x8 field: envelope 8 + 2*4 bytes, then the
 # header tolerance f64 @16, step f64 @24, nblocks u32 @32, then the payload's
@@ -305,6 +338,14 @@ class TestQuantDecodeErrors:
         blob = _quant_blob_8x8()
         blob[_NBLOCKS_AT : _NBLOCKS_AT + 4] = (3).to_bytes(4, "little")
         _decode_error(blob)
+
+    def test_empty_shape_rejected(self):
+        # an empty shape has an empty grid, which nblocks 0 matches; a large
+        # second axis would make the grid allocation huge
+        blob = _quant_blob_8x8()
+        blob[8:16] = struct.pack("<II", 0, 5)
+        blob[_NBLOCKS_AT : _NBLOCKS_AT + 4] = bytes(4)
+        assert _decode_error(blob).offset == 8
 
     def test_corrupt_step_rejected(self):
         # the codec header lies outside the checksum
