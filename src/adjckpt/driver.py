@@ -14,8 +14,8 @@ codec.  It has no register machine of its own: ``schedule.run_schedule``,
 the interpreter behind ``schedule_stats`` too, walks the stream and calls
 back here for each accepted action.  A stream that breaks the machine's
 rules raises ``ScheduleValidationError`` at the index ``schedule_stats``
-reports; store and codec failures raise ``ExecutionError`` naming the
-action.
+reports; any store or codec failure comes back from ``run_schedule`` as an
+``ExecutionError`` naming the action's index and text form.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Protocol
 import numpy as np
 
 from .codecs import Codec
-from .errors import AdjCkptError, ExecutionError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .schedule import ScheduleAction, ScheduleBackend, run_schedule
 from .store import CheckpointStore
 
@@ -98,10 +98,6 @@ class WaveParams:
                 raise InvalidArgumentError(
                     f"point {loc} must lie strictly inside the grid {self.shape}"
                 )
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
 
 
 def homogeneous_params(
@@ -350,8 +346,6 @@ def dot_test(params: WaveParams, trials: int = 20, seed: int = 0) -> float:
 class ExecutionStats:
     primal_steps: int = 0
     adjoint_steps: int = 0
-    store_puts: int = 0
-    store_gets: int = 0
     advance_seconds: float = 0.0
     capture_seconds: float = 0.0
     adjoint_seconds: float = 0.0
@@ -392,36 +386,27 @@ class _Sweep(ScheduleBackend):
         self.adj = stepper.initial_adjoint()
         self.stats = ExecutionStats()
 
-    def store(self, i: int, slot: int, state: int) -> None:
-        try:
-            self.ckpts.put(slot, state, self.cur, self.codec)
-        except AdjCkptError as exc:
-            raise ExecutionError(f"schedule action {i}: store slot {slot}: {exc}") from exc
+    def store(self, slot: int, state: int) -> None:
+        self.ckpts.put(slot, state, self.cur, self.codec)
 
-    def restore(self, i: int, slot: int, state: int) -> None:
-        try:
-            _, self.cur = self.ckpts.get(slot, self.codec)
-        except AdjCkptError as exc:
-            raise ExecutionError(f"schedule action {i}: restore slot {slot}: {exc}") from exc
+    def restore(self, slot: int, state: int) -> None:
+        _, self.cur = self.ckpts.get(slot, self.codec)
 
-    def discard(self, i: int, slot: int) -> None:
-        try:
-            self.ckpts.free(slot)
-        except AdjCkptError as exc:
-            raise ExecutionError(f"schedule action {i}: discard slot {slot}: {exc}") from exc
+    def discard(self, slot: int) -> None:
+        self.ckpts.free(slot)
 
-    def advance(self, i: int, from_step: int, to_step: int) -> None:
+    def advance(self, from_step: int, to_step: int) -> None:
         t0 = time.perf_counter()
         for k in range(from_step, to_step):
             self.cur = self.stepper.forward(self.cur, k)
         self.stats.advance_seconds += time.perf_counter() - t0
 
-    def capture(self, i: int, step: int) -> None:
+    def capture(self, step: int) -> None:
         t0 = time.perf_counter()
         self.upper = self.stepper.forward(self.cur, step)
         self.stats.capture_seconds += time.perf_counter() - t0
 
-    def adjoint(self, i: int, step: int) -> None:
+    def adjoint(self, step: int) -> None:
         t0 = time.perf_counter()
         self.adj = self.stepper.adjoint(self.adj, self.cur, self.upper, step)
         self.stats.adjoint_seconds += time.perf_counter() - t0
@@ -436,18 +421,17 @@ def execute(
 ) -> ExecutionResult:
     """Run an adjoint sweep by following a schedule action stream.
 
-    The stream is interpreted by ``schedule.run_schedule``, so it raises
+    The stream is interpreted by ``schedule.run_schedule`` with no slot
+    bound, the store's byte budget being the bound; it raises
     ScheduleValidationError exactly where ``schedule_stats`` would.  Store
     and codec failures abort with the schedule position attached.
     """
     n = stepper.nsteps
     sweep = _Sweep(stepper, store, codec)
-    counts = run_schedule(actions, n, sweep)
+    counts = run_schedule(actions, n, None, sweep)
     stats = sweep.stats
     stats.primal_steps = n + counts.recompute_steps
     stats.adjoint_steps = n
-    stats.store_puts = counts.writes
-    stats.store_gets = counts.reads
     return ExecutionResult(adjoint=sweep.adj, stats=stats)
 
 

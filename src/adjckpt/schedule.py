@@ -26,11 +26,12 @@ lacks, so a hand-written stream can replay fewer steps (for ``m = 1``, one
 fewer than ``n(n-1)/2``).
 
 ``run_schedule`` is the machine's only interpreter.  ``schedule_stats`` runs
-it over a counting backend that only bounds the slots in use by ``m``;
-``driver.execute`` runs it over a backend that steps the operator and moves
-checkpoints through a store.  Both therefore accept the same streams, count
+it over the do-nothing ``ScheduleBackend`` with at most ``m`` slots in use;
+``driver.execute`` runs it unbounded over a backend that steps the operator
+and moves checkpoints through a store.  Both accept the same streams, count
 the same replays, and reject a broken stream with the same
-``ScheduleValidationError`` (an ``ExecutionError``) at the same index.
+``ScheduleValidationError`` (an ``ExecutionError``) at the same index; any
+other backend failure becomes an ``ExecutionError`` naming the action.
 
 Ties in the argmin are broken toward the smallest split so that schedules
 are reproducible byte for byte.
@@ -40,12 +41,12 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ScheduleValidationError
+from .errors import AdjCkptError, ExecutionError, InvalidArgumentError, ScheduleValidationError
 
 __all__ = [
     "Advance",
@@ -264,77 +265,76 @@ def _expand(
 # Stream accounting and validation
 # ---------------------------------------------------------------------------
 
-_COUNT_MEMO: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+_WRITES: dict[tuple[int, int], int] = {}
 
 
-def _counts(n: int, m: int) -> tuple[int, int, int, int]:
-    """(writes, reads, peak, primal executions) for one expanded segment."""
-    if n == 1:
-        return (0, 0, 1, 1)
-    if m == 1:
-        return (0, n - 1, 1, n * (n - 1) // 2 + n)
+def _writes(n: int, m: int) -> int:
+    """Stores one expanded segment makes above its base; memoised."""
+    if n == 1 or m == 1:
+        return 0
     if m >= n:
-        return (n - 1, n - 1, n, n)
+        return n - 1
     key = (n, m)
-    hit = _COUNT_MEMO.get(key)
-    if hit is not None:
-        return hit
-    k = _split(n, m)
-    wt, rt, pt, et = _counts(n - k, m - 1)
-    wh, rh, ph, eh = _counts(k, m)
-    out = (1 + wt + wh, 1 + rt + rh, max(1 + pt, ph), k + et + eh)
-    _COUNT_MEMO[key] = out
-    return out
+    hit = _WRITES.get(key)
+    if hit is None:
+        k = _split(n, m)
+        hit = _WRITES[key] = 1 + _writes(n - k, m - 1) + _writes(k, m)
+    return hit
 
 
 def schedule_counts(n: int, m: int) -> ScheduleStats:
-    """Stats of ``generate_schedule(n, m)`` without materializing the stream."""
+    """Stats of ``generate_schedule(n, m)`` without materializing the stream.
+
+    Only the writes (state 0's, then each segment's) need the split tree.
+    The stream replays ``p(n, m)`` steps by construction.  After adjoint
+    step k + 1 only a restore brings back state k, so each of the n - 1
+    lower adjoint steps follows one read.  And the stream fills every slot,
+    or one per step when it has more slots than steps.
+    """
     _check_args(n, m)
-    w, r, peak, execs = _counts(n, m)
-    return ScheduleStats(
-        recompute_steps=execs - n, writes=w + 1, reads=r, peak_slots=peak
-    )
+    return ScheduleStats(recompute_count(n, m), 1 + _writes(n, m), n - 1, min(n, m))
 
 
 class ScheduleBackend:
     """The effects of a schedule, as ``run_schedule`` drives them.
 
-    Each method runs one action after the interpreter has accepted it; ``i``
-    is the action's index in the stream.  A backend owns no rule of the
-    machine, it only raises when its own resource fails.  The methods here
-    do nothing, so a backend overrides only the effects it has.
+    Each method runs one action after the interpreter has accepted it.  A
+    backend owns no rule of the machine, it only raises when its own
+    resource fails.  The methods here do nothing, so a backend overrides
+    only the effects it has.
     """
 
-    def store(self, i: int, slot: int, state: int) -> None:
+    def store(self, slot: int, state: int) -> None:
         pass
 
-    def restore(self, i: int, slot: int, state: int) -> None:
+    def restore(self, slot: int, state: int) -> None:
         pass
 
-    def discard(self, i: int, slot: int) -> None:
+    def discard(self, slot: int) -> None:
         pass
 
-    def advance(self, i: int, from_step: int, to_step: int) -> None:
+    def advance(self, from_step: int, to_step: int) -> None:
         pass
 
-    def capture(self, i: int, step: int) -> None:
+    def capture(self, step: int) -> None:
         pass
 
-    def adjoint(self, i: int, step: int) -> None:
+    def adjoint(self, step: int) -> None:
         pass
 
 
 def run_schedule(
-    actions: Iterable[ScheduleAction], n: int, backend: ScheduleBackend
+    actions: Iterable[ScheduleAction], n: int, m: int | None, backend: ScheduleBackend
 ) -> ScheduleStats:
     """Walk an action stream reversing ``n`` steps through the register machine.
 
     The one interpreter of the machine: it tracks the live state, the upper
-    state, which slot holds which state and the next adjoint step, counts
-    writes, reads, peak slots and primal steps, and calls ``backend`` for
-    every action it accepts.  Raises ScheduleValidationError naming the
-    first offending action; a stream that stops before adjoint step 0 fails
-    at the index one past its last action.
+    state, which slot holds which state and the next adjoint step, keeps at
+    most ``m`` slots in use (None: no bound), counts writes, reads, peak
+    slots and primal steps, and calls ``backend`` for every action it
+    accepts.  Raises ScheduleValidationError naming the first offending
+    action (one past the last if adjoint step 0 is missing); any other
+    AdjCkptError from the backend becomes an ExecutionError naming the action.
     """
     slots: dict[int, int] = {}
     cur = 0
@@ -343,65 +343,72 @@ def run_schedule(
     writes = reads = peak = primal = 0
     i = -1
     for i, act in enumerate(actions):
-        if isinstance(act, Store):
-            if cur != act.state:
-                raise ScheduleValidationError(i, f"store of state {act.state} but live state is {cur}")
-            if act.slot in slots:
-                raise ScheduleValidationError(i, f"slot {act.slot} already occupied")
-            backend.store(i, act.slot, act.state)
-            slots[act.slot] = act.state
-            writes += 1
-            peak = max(peak, len(slots))
-        elif isinstance(act, Restore):
-            if act.slot not in slots:
-                raise ScheduleValidationError(i, f"restore from empty slot {act.slot}")
-            if slots[act.slot] != act.state:
-                raise ScheduleValidationError(
-                    i, f"slot {act.slot} holds state {slots[act.slot]}, not {act.state}"
-                )
-            backend.restore(i, act.slot, act.state)
-            cur = act.state
-            if upper != act.state + 1:
+        try:
+            if isinstance(act, Store):
+                if cur != act.state:
+                    raise ScheduleValidationError(i, f"store of state {act.state} but live state is {cur}")
+                if act.slot in slots:
+                    raise ScheduleValidationError(i, f"slot {act.slot} already occupied")
+                if m is not None and len(slots) >= m:
+                    raise ScheduleValidationError(i, f"{len(slots) + 1} slots in use, only {m} available")
+                backend.store(act.slot, act.state)
+                slots[act.slot] = act.state
+                writes += 1
+                peak = max(peak, len(slots))
+            elif isinstance(act, Restore):
+                if act.slot not in slots:
+                    raise ScheduleValidationError(i, f"restore from empty slot {act.slot}")
+                if slots[act.slot] != act.state:
+                    raise ScheduleValidationError(
+                        i, f"slot {act.slot} holds state {slots[act.slot]}, not {act.state}"
+                    )
+                backend.restore(act.slot, act.state)
+                cur = act.state
+                if upper != act.state + 1:
+                    upper = None
+                reads += 1
+            elif isinstance(act, Advance):
+                if act.to_step <= act.from_step:
+                    raise ScheduleValidationError(i, "advance must move forward")
+                if cur != act.from_step:
+                    raise ScheduleValidationError(i, f"advance from {act.from_step} but live state is {cur}")
+                if act.to_step > n:
+                    raise ScheduleValidationError(i, f"advance to state {act.to_step} past the last state {n}")
+                backend.advance(act.from_step, act.to_step)
+                primal += act.to_step - act.from_step
+                cur = act.to_step
                 upper = None
-            reads += 1
-        elif isinstance(act, Advance):
-            if act.to_step <= act.from_step:
-                raise ScheduleValidationError(i, "advance must move forward")
-            if cur != act.from_step:
-                raise ScheduleValidationError(i, f"advance from {act.from_step} but live state is {cur}")
-            if act.to_step > n:
-                raise ScheduleValidationError(i, f"advance to state {act.to_step} past the last state {n}")
-            backend.advance(i, act.from_step, act.to_step)
-            primal += act.to_step - act.from_step
-            cur = act.to_step
-            upper = None
-        elif isinstance(act, PrimalCapture):
-            if cur != act.step:
-                raise ScheduleValidationError(i, f"capture of step {act.step} but live state is {cur}")
-            if not 0 <= act.step < n:
-                raise ScheduleValidationError(i, f"step {act.step} out of range")
-            backend.capture(i, act.step)
-            primal += 1
-            upper = act.step + 1
-        elif isinstance(act, AdjointStep):
-            if act.step != next_adjoint:
-                raise ScheduleValidationError(
-                    i, f"adjoint of step {act.step}, expected {next_adjoint}"
-                )
-            if cur != act.step or upper != act.step + 1:
-                raise ScheduleValidationError(
-                    i, f"adjoint of step {act.step} without states {act.step} and {act.step + 1} live"
-                )
-            backend.adjoint(i, act.step)
-            upper = act.step
-            next_adjoint -= 1
-        elif isinstance(act, Discard):
-            if act.slot not in slots:
-                raise ScheduleValidationError(i, f"discard of empty slot {act.slot}")
-            backend.discard(i, act.slot)
-            del slots[act.slot]
-        else:
-            raise ScheduleValidationError(i, f"unknown action {act!r}")
+            elif isinstance(act, PrimalCapture):
+                if cur != act.step:
+                    raise ScheduleValidationError(i, f"capture of step {act.step} but live state is {cur}")
+                if not 0 <= act.step < n:
+                    raise ScheduleValidationError(i, f"step {act.step} out of range")
+                backend.capture(act.step)
+                primal += 1
+                upper = act.step + 1
+            elif isinstance(act, AdjointStep):
+                if act.step != next_adjoint:
+                    raise ScheduleValidationError(
+                        i, f"adjoint of step {act.step}, expected {next_adjoint}"
+                    )
+                if cur != act.step or upper != act.step + 1:
+                    raise ScheduleValidationError(
+                        i, f"adjoint of step {act.step} without states {act.step} and {act.step + 1} live"
+                    )
+                backend.adjoint(act.step)
+                upper = act.step
+                next_adjoint -= 1
+            elif isinstance(act, Discard):
+                if act.slot not in slots:
+                    raise ScheduleValidationError(i, f"discard of empty slot {act.slot}")
+                backend.discard(act.slot)
+                del slots[act.slot]
+            else:
+                raise ScheduleValidationError(i, f"unknown action {act!r}")
+        except ScheduleValidationError:
+            raise
+        except AdjCkptError as exc:
+            raise ExecutionError(f"schedule action {i}: {format_action(act)}: {exc}") from exc
     if next_adjoint != -1:
         raise ScheduleValidationError(
             i + 1, f"stream ends with adjoint steps {next_adjoint}..0 missing"
@@ -411,22 +418,6 @@ def run_schedule(
     )
 
 
-class _SlotBound(ScheduleBackend):
-    """Counting backend: runs nothing, only holds the stream to ``m`` slots."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.used = 0
-
-    def store(self, i: int, slot: int, state: int) -> None:
-        self.used += 1
-        if self.used > self.m:
-            raise ScheduleValidationError(i, f"{self.used} slots in use, only {self.m} available")
-
-    def discard(self, i: int, slot: int) -> None:
-        self.used -= 1
-
-
 def schedule_stats(actions: Iterable[ScheduleAction], n: int, m: int) -> ScheduleStats:
     """Count and validate an action stream against the execution contract.
 
@@ -434,7 +425,7 @@ def schedule_stats(actions: Iterable[ScheduleAction], n: int, m: int) -> Schedul
     ScheduleValidationError naming the first offending action index.
     """
     _check_args(n, m)
-    return run_schedule(actions, n, _SlotBound(m))
+    return run_schedule(actions, n, m, ScheduleBackend())
 
 
 # ---------------------------------------------------------------------------
@@ -443,21 +434,24 @@ def schedule_stats(actions: Iterable[ScheduleAction], n: int, m: int) -> Schedul
 
 _LINE_RE = re.compile(r"^([A-Z]+)((?:\s+[a-z_]+=\d+)*)\s*$")
 
+# Verb -> (action class, text names of the class's fields in field order).
+_VERBS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "ADVANCE": (Advance, ("from", "to")),
+    "STORE": (Store, ("slot", "state")),
+    "RESTORE": (Restore, ("slot", "state")),
+    "CAPTURE": (PrimalCapture, ("step",)),
+    "ADJOINT": (AdjointStep, ("step",)),
+    "DISCARD": (Discard, ("slot",)),
+}
+_VERB_OF = {cls: verb for verb, (cls, _) in _VERBS.items()}
+
 
 def format_action(act: ScheduleAction) -> str:
-    if isinstance(act, Advance):
-        return f"ADVANCE from={act.from_step} to={act.to_step}"
-    if isinstance(act, Store):
-        return f"STORE slot={act.slot} state={act.state}"
-    if isinstance(act, Restore):
-        return f"RESTORE slot={act.slot} state={act.state}"
-    if isinstance(act, PrimalCapture):
-        return f"CAPTURE step={act.step}"
-    if isinstance(act, AdjointStep):
-        return f"ADJOINT step={act.step}"
-    if isinstance(act, Discard):
-        return f"DISCARD slot={act.slot}"
-    raise InvalidArgumentError(f"not a schedule action: {act!r}")
+    verb = _VERB_OF.get(type(act))
+    if verb is None:
+        raise InvalidArgumentError(f"not a schedule action: {act!r}")
+    values = (getattr(act, f.name) for f in fields(act))
+    return " ".join([verb, *(f"{k}={v}" for k, v in zip(_VERBS[verb][1], values))])
 
 
 def format_schedule(actions: Iterable[ScheduleAction]) -> str:
@@ -465,28 +459,19 @@ def format_schedule(actions: Iterable[ScheduleAction]) -> str:
 
 
 def parse_action(line: str) -> ScheduleAction:
+    """One action from its text form; fields may come in any order, each once."""
     match = _LINE_RE.match(line.strip())
     if not match:
         raise InvalidArgumentError(f"unparseable schedule line: {line!r}")
     verb, rest = match.group(1), match.group(2)
-    kv = dict(part.split("=") for part in rest.split())
-    args = {key: int(val) for key, val in kv.items()}
-    try:
-        if verb == "ADVANCE":
-            return Advance(from_step=args.pop("from"), to_step=args.pop("to"))
-        if verb == "STORE":
-            return Store(slot=args.pop("slot"), state=args.pop("state"))
-        if verb == "RESTORE":
-            return Restore(slot=args.pop("slot"), state=args.pop("state"))
-        if verb == "CAPTURE":
-            return PrimalCapture(step=args.pop("step"))
-        if verb == "ADJOINT":
-            return AdjointStep(step=args.pop("step"))
-        if verb == "DISCARD":
-            return Discard(slot=args.pop("slot"))
-    except KeyError as exc:
-        raise InvalidArgumentError(f"missing field {exc} in line: {line!r}") from None
-    raise InvalidArgumentError(f"unknown schedule verb {verb!r}")
+    if verb not in _VERBS:
+        raise InvalidArgumentError(f"unknown schedule verb {verb!r}")
+    cls, names = _VERBS[verb]
+    pairs = [part.split("=") for part in rest.split()]
+    if sorted(key for key, _ in pairs) != sorted(names):
+        raise InvalidArgumentError(f"{verb} needs field(s) {', '.join(names)}, each exactly once: {line!r}")
+    args = {key: int(val) for key, val in pairs}
+    return cls(*(args[name] for name in names))
 
 
 def parse_schedule(text: str) -> list[ScheduleAction]:

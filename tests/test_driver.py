@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from adjckpt import codecs, driver, schedule
-from adjckpt.errors import ExecutionError, InvalidArgumentError, ScheduleValidationError
+from adjckpt.errors import (
+    CapacityError,
+    ExecutionError,
+    InvalidArgumentError,
+    ScheduleValidationError,
+)
 from adjckpt.store import CheckpointStore
 from test_schedule import DRIFTED_STREAMS
 
@@ -150,17 +155,15 @@ class TestExecutor:
     def test_primal_step_accounting(self, nt, m):
         params = driver.homogeneous_params((55,), nt=nt)
         stepper = driver.WaveStepper(params)
+        store = null_store_for(stepper, m)
         res = driver.execute(
-            schedule.generate_schedule(nt, m),
-            stepper,
-            null_store_for(stepper, m),
-            codecs.NullCodec(),
+            schedule.generate_schedule(nt, m), stepper, store, codecs.NullCodec()
         )
         assert res.stats.primal_steps == nt + schedule.recompute_count(nt, m)
         assert res.stats.adjoint_steps == nt
         counted = schedule.schedule_stats(schedule.generate_schedule(nt, m), nt, m)
-        assert res.stats.store_puts == counted.writes
-        assert res.stats.store_gets == counted.reads
+        assert store.counters.puts == counted.writes
+        assert store.counters.gets == counted.reads
 
     def test_quantized_checkpoints_keep_gradient_close(self):
         params = driver.homogeneous_params((60,), nt=40)
@@ -188,6 +191,8 @@ class TestExecutor:
                 schedule.generate_schedule(12, 3), stepper, store, codecs.NullCodec()
             )
         assert "action 0" in str(err.value)
+        assert err.value.category == "execution"
+        assert isinstance(err.value.__cause__, CapacityError)
 
     def test_executor_rejects_inconsistent_stream(self):
         params = driver.homogeneous_params((40,), nt=5)
@@ -220,7 +225,6 @@ class TestExecutor:
         stats = res.stats
         assert stats.forward_step_seconds > 0
         assert stats.adjoint_step_seconds > 0
-        assert stats.store_puts == stats.store_gets or stats.store_puts > 0
 
 
 class TestConfig:

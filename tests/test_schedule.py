@@ -96,6 +96,15 @@ class TestRecomputeCount:
         # paper scale, N = 2500
         for m, p in [(2, 115359), (8, 12074), (56, 3420), (84, 2454)]:
             assert sched.recompute_count(2500, m) == p
+        # (recompute_steps, writes, reads, peak_slots) of the full stream
+        for m, counts in [
+            (2, (115359, 71, 2499, 2)),
+            (8, (12074, 1716, 2499, 8)),
+            (56, (3420, 2498, 2499, 56)),
+            (84, (2454, 2500, 2499, 84)),
+            (373, (2133, 2500, 2499, 373)),
+        ]:
+            assert sched.schedule_counts(2500, m) == sched.ScheduleStats(*counts)
 
     def test_machine_oracle_never_beaten(self):
         # Revolve's count bounds the carry-aware machine from above ...
@@ -234,8 +243,10 @@ class TestValidation:
 
     def test_too_many_slots_rejected(self):
         acts = sched.generate_schedule(4, 2)
-        with pytest.raises(ScheduleValidationError):
+        with pytest.raises(ScheduleValidationError) as err:
             sched.schedule_stats(acts, 4, 1)
+        assert err.value.index == 2
+        assert err.value.reason == "2 slots in use, only 1 available"
 
     def test_truncated_stream_rejected(self):
         acts = sched.generate_schedule(5, 2)[:-4]
@@ -291,7 +302,15 @@ class TestTextForm:
         assert sched.parse_schedule(sched.format_schedule(acts)) == acts
 
     def test_bad_line_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            sched.parse_action("WIBBLE slot=1")
-        with pytest.raises(InvalidArgumentError):
-            sched.parse_action("STORE slot=1")
+        for line in [
+            "WIBBLE slot=1",
+            "STORE slot=1",
+            "STORE slot=1 slot=7 state=0",
+            "STORE slot=1 state=0 bogus=5",
+            "CAPTURE step=2 slot=9",
+        ]:
+            with pytest.raises(InvalidArgumentError):
+                sched.parse_action(line)
+
+    def test_fields_in_any_order(self):
+        assert sched.parse_action("STORE state=0 slot=1") == sched.Store(slot=1, state=0)
