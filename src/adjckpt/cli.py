@@ -37,6 +37,16 @@ def _positive(name):
     return parse
 
 
+def _shape(text: str) -> tuple[int, ...]:
+    try:
+        shape = tuple(int(s) for s in text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"shape wants sizes joined by 'x', got {text!r}")
+    if min(shape) < 1:
+        raise argparse.ArgumentTypeError(f"shape sizes must be positive, got {text!r}")
+    return shape
+
+
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--nsteps", type=int, default=2500, help="number of forward steps")
     sub.add_argument("--state-bytes", type=_positive("state-bytes"), default=900e6)
@@ -72,8 +82,10 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidArgumentError(f"--range wants lo:hi:samples, got {text!r}")
-    lo, hi, samples = float(parts[0]), float(parts[1]), int(parts[2])
-    return lo, hi, samples
+    try:
+        return float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise InvalidArgumentError(f"--range wants numbers lo:hi:samples, got {text!r}")
 
 
 def cmd_advise(args) -> int:
@@ -166,8 +178,7 @@ def _make_field(kind: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
 
 
 def cmd_profile_codec(args) -> int:
-    shape = tuple(int(s) for s in args.shape.lower().split("x"))
-    fieldval = _make_field(args.field, shape, args.seed)
+    fieldval = _make_field(args.field, args.shape, args.seed)
     codec = codecs.get_codec(args.codec, tolerance=args.tolerance, rate=args.rate)
     stats = codecs.profile(codec, fieldval, repetitions=args.reps)
     header = "codec,input_bytes,output_bytes,ratio,t_c_s,t_d_s,max_abs_error"
@@ -180,41 +191,19 @@ def cmd_profile_codec(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = driver.load_benchmark_config(args.config)
-    for key in ("nt", "slots", "codec", "tolerance", "budget_bytes", "grid"):
-        override = getattr(args, key.replace("_bytes", ""), None)
-        if override is not None:
-            cfg[key] = override
-    params = driver.params_from_config(cfg)
+    params = driver.homogeneous_params(args.grid, nt=args.nt)
     stepper = driver.WaveStepper(params)
-    codec = codecs.get_codec(cfg["codec"], tolerance=float(cfg["tolerance"]))
+    codec = codecs.get_codec(args.codec, tolerance=args.tolerance)
     null = codecs.NullCodec()
 
-    step_cost, samples = driver.calibrate(stepper)
-    probe = samples[-1]
-    null_stats = codecs.profile(null, probe, repetitions=3)
-    comp_stats = codecs.profile(codec, probe, repetitions=3)
-    state_bytes = probe.nbytes
-    bandwidth = state_bytes / max(null_stats.t_c, 1e-9)
-
-    plain_blob_bytes = len(null.encode(probe)[0])
+    plain_blob_bytes = len(null.encode(stepper.initial_state())[0])
+    budget = plain_blob_bytes * args.slots + 1 if args.budget is None else args.budget
+    p, samples = driver.calibrate(stepper, codec, budget)
     comp_blob_bytes = max(len(codec.encode(s)[0]) for s in samples)
-    budget = float(cfg["budget_bytes"]) or plain_blob_bytes * int(cfg["slots"]) + 1
     m_plain = int(budget // plain_blob_bytes)
     m_comb = int(budget // comp_blob_bytes)
     if m_plain < 1 or m_comb < 1:
         raise InvalidArgumentError(f"budget {budget:.3g} B holds no checkpoint")
-
-    p = perfmodel.PerfParams(
-        step_cost=step_cost,
-        nsteps=params.nt,
-        state_bytes=state_bytes,
-        bandwidth=bandwidth,
-        memory_bytes=budget,
-        ratio=comp_stats.ratio,
-        compress_time=comp_stats.t_c,
-        decompress_time=comp_stats.t_d,
-    )
     row = perfmodel.evaluate(p, budget, m_plain, m_comb)
 
     def timed_run(m: int, cdc) -> float:
@@ -229,10 +218,11 @@ def cmd_run(args) -> int:
 
     csv = RUN_HEADER + "\n" + row.csv() + (
         f",{measured_plain!r},{measured_comb!r},{measured_plain / measured_comb!r},"
-        f"{comp_stats.ratio!r},{comp_stats.t_c!r},{comp_stats.t_d!r}\n"
+        f"{p.ratio!r},{p.compress_time!r},{p.decompress_time!r}\n"
     )
-    print(f"grid={cfg['grid']} nt={params.nt} codec={cfg['codec']} budget_bytes={budget:.6g}")
-    print(f"m_plain={m_plain} m_compressed={m_comb} profiled_ratio={comp_stats.ratio:.3f}")
+    grid = "x".join(map(str, args.grid))
+    print(f"grid={grid} nt={params.nt} codec={args.codec} budget_bytes={budget:.6g}")
+    print(f"m_plain={m_plain} m_compressed={m_comb} profiled_ratio={p.ratio:.3f}")
     print(
         f"model:    plain {row.t_revolve_s:.4f}s  combined {row.t_combined_s:.4f}s  "
         f"speedup {row.speedup:.3f}"
@@ -275,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--codec", required=True, choices=["null", "cast", "quant", "rate"])
     sub.add_argument("--tolerance", type=float, help="absolute error bound (quant)")
     sub.add_argument("--rate", type=float, help="target bits per value (rate)")
-    sub.add_argument("--shape", default="64x64", help="field shape, e.g. 128 or 64x64")
+    sub.add_argument("--shape", type=_shape, default="64x64", help="field shape, e.g. 128 or 64x64")
     sub.add_argument("--field", default="wavefield", choices=["noise", "gauss", "sine", "wavefield"])
     sub.add_argument("--reps", type=int, default=5)
     sub.add_argument("--seed", type=int, default=0)
@@ -283,13 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_profile_codec)
 
     sub = subs.add_parser("run", help="execute the toy benchmark, measured vs predicted")
-    sub.add_argument("--config", help="key = value benchmark file")
-    sub.add_argument("--grid", help="override grid, e.g. 120x120")
-    sub.add_argument("--nt", type=int, help="override timestep count")
-    sub.add_argument("--slots", type=int, help="override uncompressed slot count")
-    sub.add_argument("--budget", type=float, help="override budget bytes")
-    sub.add_argument("--codec", choices=["null", "cast", "quant"])
-    sub.add_argument("--tolerance", type=float)
+    sub.add_argument("--grid", type=_shape, default="120x120", help="grid, e.g. 120x120 or 200")
+    sub.add_argument("--nt", type=int, default=60, help="timestep count")
+    sub.add_argument("--slots", type=int, default=3, help="uncompressed slot count; sets the budget")
+    sub.add_argument(
+        "--budget", type=_positive("budget"), help="budget bytes (default: --slots null checkpoints)"
+    )
+    sub.add_argument("--codec", default="cast", choices=["null", "cast", "quant"])
+    sub.add_argument("--tolerance", type=float, default=1e-6, help="absolute error bound (quant)")
     sub.add_argument("--out", help="CSV path (default stdout)")
     sub.set_defaults(func=cmd_run)
 

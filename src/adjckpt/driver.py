@@ -16,19 +16,23 @@ back here for each accepted action.  A stream that breaks the machine's
 rules raises ``ScheduleValidationError`` at the index ``schedule_stats``
 reports; any store or codec failure comes back from ``run_schedule`` as an
 ``ExecutionError`` naming the action's index and text form.
+
+``calibrate`` is the one place that turns measurements into the cost
+model's ``PerfParams``: one timed forward sweep for the step cost, and
+codec profiles on its final state for bandwidth, ratio and codec times.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Protocol
 
 import numpy as np
 
-from .codecs import Codec
+from .codecs import Codec, NullCodec, profile
 from .errors import InvalidArgumentError
+from .perfmodel import PerfParams
 from .schedule import ScheduleAction, ScheduleBackend, run_schedule
 from .store import CheckpointStore
 
@@ -49,7 +53,6 @@ __all__ = [
     "calibrate",
     "dot_test",
     "execute",
-    "load_benchmark_config",
 ]
 
 
@@ -101,19 +104,17 @@ class WaveParams:
 
 
 def homogeneous_params(
-    shape: tuple[int, ...],
-    nt: int,
-    velocity: float = 1500.0,
-    spacing: float = 10.0,
-    peak_freq: float = 12.0,
+    shape: tuple[int, ...], nt: int, peak_freq: float = 12.0
 ) -> WaveParams:
     """Convenience constructor: uniform medium, centered source, spread receivers.
 
-    dt is half the stability limit; up to eight receivers span the first
-    axis, a quarter of the way down the second in 2D.
+    The medium is 1500 m/s on a 10 m grid and dt is half the stability
+    limit; up to eight receivers span the first axis, a quarter of the way
+    down the second in 2D.
     """
     ndim = len(shape)
-    m = np.full(shape, 1.0 / velocity**2)
+    spacing = 10.0
+    m = np.full(shape, 1.0 / 1500.0**2)
     dt = 0.5 * spacing * np.sqrt(m.min()) / np.sqrt(ndim)
     xs = np.linspace(2, shape[0] - 3, 8).astype(int)
     depth = (max(1, shape[1] // 4),) if ndim == 2 else ()
@@ -285,13 +286,20 @@ def reference_adjoint(stepper: Stepper):
 # Forward steps left out of the calibrated step cost: they pay one-time
 # allocation and cache-warming costs that no later step sees.
 _CALIBRATION_WARMUP = 4
+# Round trips each codec is timed over in ``calibrate``.
+_CALIBRATION_REPS = 5
 
 
-def calibrate(stepper: Stepper) -> tuple[float, list[np.ndarray]]:
-    """Median seconds per forward step over one forward sweep, plus states.
+def calibrate(
+    stepper: Stepper, codec: Codec, memory_bytes: float
+) -> tuple[PerfParams, list[np.ndarray]]:
+    """Cost-model parameters of ``stepper`` and ``codec``, measured, plus states.
 
-    The states are the initial one, samples every quarter of the sweep and
-    the final one, last; callers profile codecs on them.
+    The step cost is the median seconds per forward step over one forward
+    sweep, warm-up left out.  The null codec's and ``codec``'s profiles on
+    the final state give the copy bandwidth and the ratio and codec times;
+    ``memory_bytes`` is passed through.  The states are the initial one,
+    samples every quarter of the sweep and the final one, last.
     """
     state = stepper.initial_state()
     samples = [state]
@@ -304,7 +312,19 @@ def calibrate(stepper: Stepper) -> tuple[float, list[np.ndarray]]:
             samples.append(state)
     samples.append(state)
     good = times[_CALIBRATION_WARMUP:] if len(times) > _CALIBRATION_WARMUP else times
-    return float(np.median(good)), samples
+    null = profile(NullCodec(), state, repetitions=_CALIBRATION_REPS)
+    comp = profile(codec, state, repetitions=_CALIBRATION_REPS)
+    params = PerfParams(
+        step_cost=float(np.median(good)),
+        nsteps=stepper.nsteps,
+        state_bytes=state.nbytes,
+        bandwidth=state.nbytes / max(null.t_c, 1e-9),
+        memory_bytes=memory_bytes,
+        ratio=comp.ratio,
+        compress_time=comp.t_c,
+        decompress_time=comp.t_d,
+    )
+    return params, samples
 
 
 def adjoint_source_series(params: WaveParams, residuals: np.ndarray) -> np.ndarray:
@@ -433,65 +453,3 @@ def execute(
     stats.primal_steps = n + counts.recompute_steps
     stats.adjoint_steps = n
     return ExecutionResult(adjoint=sweep.adj, stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# Benchmark configuration (key = value text file)
-# ---------------------------------------------------------------------------
-
-_CONFIG_DEFAULTS = {
-    "grid": "120x120",
-    "spacing": 10.0,
-    "dt": 0.0,  # 0 means: half the stability limit
-    "velocity": 1500.0,
-    "peak_freq": 12.0,
-    "nt": 60,
-    "slots": 3,
-    "budget_bytes": 0.0,  # 0 means: derive from slots
-    "codec": "cast",
-    "tolerance": 1e-6,
-}
-
-
-def load_benchmark_config(path: str | Path | None) -> dict:
-    """Parse the benchmark config file; missing keys fall back to defaults."""
-    cfg = dict(_CONFIG_DEFAULTS)
-    if path is None:
-        return cfg
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidArgumentError(f"{path}:{lineno}: expected 'key = value'")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in cfg:
-            raise InvalidArgumentError(f"{path}:{lineno}: unknown key {key!r}")
-        proto = _CONFIG_DEFAULTS[key]
-        if isinstance(proto, str):
-            cfg[key] = val
-        elif isinstance(proto, int):
-            cfg[key] = int(float(val))
-        else:
-            cfg[key] = float(val)
-    return cfg
-
-
-def params_from_config(cfg: dict) -> WaveParams:
-    grid = cfg["grid"]
-    shape = tuple(int(s) for s in str(grid).lower().split("x"))
-    params = homogeneous_params(
-        shape,
-        nt=int(cfg["nt"]),
-        velocity=float(cfg["velocity"]),
-        spacing=float(cfg["spacing"]),
-        peak_freq=float(cfg["peak_freq"]),
-    )
-    if float(cfg.get("dt", 0.0)) > 0:
-        params = replace(
-            params,
-            dt=float(cfg["dt"]),
-            wavelet=ricker_wavelet(params.nt, float(cfg["dt"]), float(cfg["peak_freq"])),
-        )
-    return params

@@ -236,27 +236,12 @@ def test_criterion_9_model_matches_measurement():
     cast = codecs.CastCodec()
     null = codecs.NullCodec()
 
-    # calibration: median step cost and the final state as representative
-    step_cost, samples = driver.calibrate(stepper)
-    probe = samples[-1]
-
-    null_stats = codecs.profile(null, probe, repetitions=5)
-    cast_stats = codecs.profile(cast, probe, repetitions=5)
-    state_bytes = probe.nbytes
-    bandwidth = state_bytes / null_stats.t_c
-
+    # calibration: median step cost, codecs profiled on the final state
     m_plain = 2
-    m_comb = int(m_plain * cast_stats.ratio)
-    p = perfmodel.PerfParams(
-        step_cost=step_cost,
-        nsteps=params.nt,
-        state_bytes=state_bytes,
-        bandwidth=bandwidth,
-        memory_bytes=m_plain * state_bytes + 1,
-        ratio=cast_stats.ratio,
-        compress_time=cast_stats.t_c,
-        decompress_time=cast_stats.t_d,
-    )
+    state_bytes = stepper.initial_state().nbytes
+    p, samples = driver.calibrate(stepper, cast, m_plain * state_bytes + 1)
+    probe = samples[-1]
+    m_comb = int(m_plain * p.ratio)
     predict_plain, predict_comb = perfmodel.predict(p, m_plain, m_comb)
     predicted_ratio = predict_plain.total / predict_comb.total
 

@@ -1,3 +1,7 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -165,11 +169,12 @@ class TestProfileCodec:
 
 
 class TestRun:
-    def test_end_to_end_with_config(self, capsys, tmp_path):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("grid = 40x40\nnt = 18\nslots = 2\ncodec = cast\n")
+    def test_end_to_end(self, capsys, tmp_path):
         out_csv = tmp_path / "run.csv"
-        code, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_csv))
+        code, out, _ = run_cli(
+            capsys, "run", "--grid", "40x40", "--nt", "18", "--slots", "2",
+            "--codec", "cast", "--out", str(out_csv),
+        )
         assert code == 0
         assert "model:" in out and "measured:" in out
         lines = out_csv.read_text().splitlines()
@@ -194,3 +199,38 @@ class TestRun:
         with pytest.raises(SystemExit) as err:
             cli.main(["warp-speed"])
         assert err.value.code == 2
+
+    def test_zero_budget_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--budget", "0"])
+        assert err.value.code == 2
+        assert "budget must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--grid", "abc"],
+    ["profile-codec", "--codec", "null", "--shape", "4xq"],
+    ["sweep", "--axis", "memory", "--range", "a:b:3"],
+    ["sweep", "--axis", "memory", "--range", "1e9:2e9:x"],
+], ids=" ".join)
+def test_bad_shape_or_range_text_exits_2(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for block in re.findall(r"```[a-z]*\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("adjckpt ") and "[" not in line:
+                yield shlex.split(line)[1:]
+
+
+@pytest.mark.parametrize("argv", list(_readme_commands()), ids=" ".join)
+def test_readme_command_parses(argv):
+    cli.build_parser().parse_args(argv)

@@ -227,37 +227,18 @@ class TestExecutor:
         assert stats.adjoint_step_seconds > 0
 
 
-class TestConfig:
-    def test_parse_and_defaults(self, tmp_path):
-        cfg_file = tmp_path / "bench.cfg"
-        cfg_file.write_text(
-            """
-            # toy benchmark
-            grid = 48x32
-            nt = 25
-            slots = 2
-            codec = quant
-            tolerance = 1e-5
-            """
-        )
-        cfg = driver.load_benchmark_config(cfg_file)
-        assert cfg["grid"] == "48x32"
-        assert cfg["nt"] == 25
-        assert cfg["slots"] == 2
-        assert cfg["codec"] == "quant"
-        assert cfg["tolerance"] == 1e-5
-        assert cfg["spacing"] == 10.0
-        params = driver.params_from_config(cfg)
-        assert params.shape == (48, 32)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("gird = 10x10\n")
-        with pytest.raises(InvalidArgumentError):
-            driver.load_benchmark_config(cfg_file)
-
-    def test_malformed_line_rejected(self, tmp_path):
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("just some words\n")
-        with pytest.raises(InvalidArgumentError):
-            driver.load_benchmark_config(cfg_file)
+class TestCalibrate:
+    def test_params_come_from_the_measured_sweep(self):
+        stepper = driver.WaveStepper(driver.homogeneous_params((24, 20), nt=12))
+        p, samples = driver.calibrate(stepper, codecs.CastCodec(), 12345.0)
+        assert p.ratio == 2.0
+        assert p.state_bytes == samples[-1].nbytes
+        assert p.nsteps == stepper.nsteps
+        assert p.memory_bytes == 12345.0
+        assert p.compress_time > 0
+        assert np.isfinite(p.bandwidth)
+        np.testing.assert_array_equal(samples[0], stepper.initial_state())
+        final = stepper.initial_state()
+        for i in range(stepper.nsteps):
+            final = stepper.forward(final, i)
+        np.testing.assert_array_equal(samples[-1], final)
