@@ -163,9 +163,10 @@ _FIELD_MAKERS = {
 
 
 def _make_field(kind: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
     if kind == "wavefield":
-        params = driver.homogeneous_params(shape if len(shape) <= 2 else shape[:2], nt=3 * max(shape))
+        if len(shape) > 2:
+            raise InvalidArgumentError(f"the wavefield field is 1D or 2D, got shape {shape}")
+        params = driver.homogeneous_params(shape, nt=3 * max(shape))
         stepper = driver.WaveStepper(params)
         state = stepper.initial_state()
         for i in range(params.nt):
@@ -174,7 +175,7 @@ def _make_field(kind: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
     maker = _FIELD_MAKERS.get(kind)
     if maker is None:
         raise InvalidArgumentError(f"unknown field kind {kind!r}")
-    return maker(shape, rng)
+    return maker(shape, np.random.default_rng(seed))
 
 
 def cmd_profile_codec(args) -> int:

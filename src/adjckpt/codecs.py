@@ -221,12 +221,12 @@ def _grid(shape: tuple[int, ...]) -> _Grid:
     return _Grid(perm, starts, counts)
 
 
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
 def _bit_length(x: np.ndarray) -> np.ndarray:
-    """``int.bit_length`` of every element of a uint64 array below 2**63."""
-    nbits = np.frexp(x.astype(np.float64))[1].astype(np.int64)
-    # the float conversion can round up to the next power of two, never down
-    shift = np.maximum(nbits - 1, 0).astype(np.uint64)
-    return nbits - ((nbits > 0) & (x < (np.uint64(1) << shift)))
+    """``int.bit_length`` of every element of a uint64 array: how many powers of two are <= it."""
+    return np.searchsorted(_POW2, x, side="right")
 
 
 def _block_bytes(counts: np.ndarray, nbits: np.ndarray) -> np.ndarray:

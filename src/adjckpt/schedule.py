@@ -25,6 +25,11 @@ not the machine's minimum: carrying the upper state down is a move Revolve
 lacks, so a hand-written stream can replay fewer steps (for ``m = 1``, one
 fewer than ``n(n-1)/2``).
 
+A generated stream keeps its checkpoints as a stack, like Revolve's
+snapshots: each checkpoint takes the slot just above the newest one in use,
+so the checkpoint at recursion depth d sits in slot d.  The stream therefore
+uses slots ``0 .. min(n, m) - 1`` for any ``m``, however large.
+
 ``run_schedule`` is the machine's only interpreter.  ``schedule_stats`` runs
 it over the do-nothing ``ScheduleBackend`` with at most ``m`` slots in use;
 ``driver.execute`` runs it unbounded over a backend that steps the operator
@@ -39,7 +44,6 @@ are reproducible byte for byte.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass, fields
 from typing import Iterable, Union
@@ -197,31 +201,28 @@ def _split(n: int, m: int) -> int:
 def generate_schedule(n: int, m: int) -> list[ScheduleAction]:
     """Expand the DP argmin tree into a valid action stream reversing n steps."""
     _check_args(n, m)
-    actions: list[ScheduleAction] = []
-    free: list[int] = list(range(m))
-    heapq.heapify(free)
-    base = heapq.heappop(free)
-    actions.append(Store(slot=base, state=0))
-    _expand(actions, 0, n, m, base, free)
-    actions.append(Discard(slot=base))
+    actions: list[ScheduleAction] = [Store(slot=0, state=0)]
+    _expand(actions, 0, n, m, 0)
+    actions.append(Discard(slot=0))
     return actions
 
 
-def _expand(
-    actions: list[ScheduleAction],
-    lo: int,
-    hi: int,
-    m: int,
-    base: int,
-    free: list[int],
-) -> None:
+def _expand(actions: list[ScheduleAction], lo: int, hi: int, m: int, base: int) -> None:
     # Invariant on entry: state `lo` is stored in `base` and is the live
     # state; `m` counts the slots this segment may touch, `base` included.
+    # Slots form a stack: the ones above `base` are all free.
     while True:
         n = hi - lo
-        if n == 1:
-            actions.append(PrimalCapture(step=lo))
-            actions.append(AdjointStep(step=lo))
+        if m >= n:
+            for k in range(lo + 1, hi):
+                actions.append(Advance(from_step=k - 1, to_step=k))
+                actions.append(Store(slot=base + k - lo, state=k))
+            actions.append(PrimalCapture(step=hi - 1))
+            actions.append(AdjointStep(step=hi - 1))
+            for k in range(hi - 2, lo - 1, -1):
+                actions.append(Discard(slot=base + k + 1 - lo))
+                actions.append(Restore(slot=base + k - lo, state=k))
+                actions.append(AdjointStep(step=k))
             return
         if m == 1:
             for k in range(hi - 1, lo - 1, -1):
@@ -232,31 +233,11 @@ def _expand(
                 actions.append(PrimalCapture(step=k))
                 actions.append(AdjointStep(step=k))
             return
-        if m >= n:
-            held: list[int] = []
-            for k in range(lo + 1, hi):
-                actions.append(Advance(from_step=k - 1, to_step=k))
-                s = heapq.heappop(free)
-                held.append(s)
-                actions.append(Store(slot=s, state=k))
-            actions.append(PrimalCapture(step=hi - 1))
-            actions.append(AdjointStep(step=hi - 1))
-            for k in range(hi - 2, lo - 1, -1):
-                drop = held[k - lo]
-                actions.append(Discard(slot=drop))
-                heapq.heappush(free, drop)
-                s_k = base if k == lo else held[k - lo - 1]
-                actions.append(Restore(slot=s_k, state=k))
-                actions.append(AdjointStep(step=k))
-            return
-        k = _split(n, m)
-        mid = lo + k
+        mid = lo + _split(n, m)
         actions.append(Advance(from_step=lo, to_step=mid))
-        s_mid = heapq.heappop(free)
-        actions.append(Store(slot=s_mid, state=mid))
-        _expand(actions, mid, hi, m - 1, s_mid, free)
-        actions.append(Discard(slot=s_mid))
-        heapq.heappush(free, s_mid)
+        actions.append(Store(slot=base + 1, state=mid))
+        _expand(actions, mid, hi, m - 1, base + 1)
+        actions.append(Discard(slot=base + 1))
         actions.append(Restore(slot=base, state=lo))
         hi = mid
 
@@ -270,10 +251,10 @@ _WRITES: dict[tuple[int, int], int] = {}
 
 def _writes(n: int, m: int) -> int:
     """Stores one expanded segment makes above its base; memoised."""
-    if n == 1 or m == 1:
-        return 0
     if m >= n:
         return n - 1
+    if m == 1:
+        return 0
     key = (n, m)
     hit = _WRITES.get(key)
     if hit is None:
@@ -288,8 +269,8 @@ def schedule_counts(n: int, m: int) -> ScheduleStats:
     Only the writes (state 0's, then each segment's) need the split tree.
     The stream replays ``p(n, m)`` steps by construction.  After adjoint
     step k + 1 only a restore brings back state k, so each of the n - 1
-    lower adjoint steps follows one read.  And the stream fills every slot,
-    or one per step when it has more slots than steps.
+    lower adjoint steps follows one read.  And its slot stack grows to one
+    slot per step, or to all ``m`` slots when it has fewer slots than steps.
     """
     _check_args(n, m)
     return ScheduleStats(recompute_count(n, m), 1 + _writes(n, m), n - 1, min(n, m))

@@ -127,6 +127,13 @@ class TestVerifySchedule:
         assert f"recompute_steps={n * (n - 1) // 2 - 1} " in out
         assert f"cheaper than the Revolve count {n * (n - 1) // 2}" in out
 
+    def test_more_slots_than_any_index_stores_every_state(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify-schedule", "--nsteps", "5", "--slots", "100000000000000000000"
+        )
+        assert code == 0
+        assert "recompute_steps=0 writes=5 reads=4 peak_slots=5" in out
+
     def test_error_line_is_single_and_machine_parsable(self, capsys):
         code, _, err = run_cli(capsys, "verify-schedule", "--nsteps", "0", "--slots", "1")
         assert code == 2
@@ -187,6 +194,11 @@ class TestRun:
         for m, p in (("m_plain", "p_plain"), ("m_compressed", "p_compressed")):
             assert int(row[p]) == schedule.recompute_count(18, min(int(row[m]), 18))
 
+    def test_budget_beyond_any_slot_index_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--grid", "20x20", "--nt", "5", "--budget", "1e300")
+        assert code == 0
+        assert "measured:" in out
+
     def test_flag_overrides(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--grid", "30x30", "--nt", "12", "--slots", "2",
@@ -210,6 +222,7 @@ class TestRun:
 @pytest.mark.parametrize("argv", [
     ["run", "--grid", "abc"],
     ["profile-codec", "--codec", "null", "--shape", "4xq"],
+    ["profile-codec", "--codec", "null", "--field", "wavefield", "--shape", "5x5x5x5"],
     ["sweep", "--axis", "memory", "--range", "a:b:3"],
     ["sweep", "--axis", "memory", "--range", "1e9:2e9:x"],
 ], ids=" ".join)

@@ -163,6 +163,24 @@ class TestGenerateSchedule:
         stats = sched.schedule_stats(sched.generate_schedule(n, m), n, m)
         assert stats.recompute_steps == sched.recompute_count(n, m)
 
+    def test_slots_beyond_steps_change_nothing(self):
+        for n in range(1, 31):
+            full = sched.generate_schedule(n, n)
+            for m in (n + 1, 10**20):
+                assert sched.generate_schedule(n, m) == full, (n, m)
+
+    def test_checkpoints_form_a_stack(self):
+        # every STORE takes the lowest slot above those in use
+        for n in range(1, 61):
+            for m in range(1, 11):
+                used: set[int] = set()
+                for act in sched.generate_schedule(n, m):
+                    if isinstance(act, sched.Store):
+                        assert act.slot == len(used), (n, m, act)
+                        used.add(act.slot)
+                    elif isinstance(act, sched.Discard):
+                        used.remove(act.slot)
+
     def test_stats_match_closed_counts_on_grid(self):
         for n in range(1, 61):
             for m in range(1, 11):
@@ -181,6 +199,7 @@ class TestGenerateSchedule:
         [
             (200, 3, "93cadf735ae4c08c86fae627f74ec7fae854586392129127879a78c0b11f3478"),
             (200, 41, "aeaa0047a5d5b992af7a79d64d0ba15826b45816d2ea994406efc3622195db58"),
+            (2500, 56, "80dc0ccd2e8d30ad03c93d9a3dbc9ed8fd5e08238a1950c072dabb7932829f97"),
         ],
     )
     def test_stream_is_byte_stable(self, n, m, digest):
