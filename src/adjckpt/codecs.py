@@ -94,11 +94,11 @@ def _require_field(field: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _seal(codec_id: int, arr: np.ndarray, header: bytes, payload: bytes) -> bytes:
-    """The blob of ``arr``: envelope, codec header, payload and checksum."""
+def _seal(codec_id: int, arr: np.ndarray, header: bytes, payload: memoryview) -> bytes:
+    """The blob of ``arr``: envelope, codec header, payload and checksum, copied once."""
     head = struct.pack("<4sBBBB", _MAGIC, _VERSION, codec_id, _DTYPE_CODES[arr.dtype], arr.ndim)
     shape = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + shape + header + payload + struct.pack("<I", zlib.crc32(payload))
+    return b"".join((head, shape, header, payload, struct.pack("<I", zlib.crc32(payload))))
 
 
 def _take(fmt: str, blob: bytes, at: int) -> tuple[tuple, int]:
@@ -128,7 +128,7 @@ def _check_crc(blob: bytes, payload_start: int, payload_end: int) -> None:
     if payload_end + 4 > len(blob):
         raise CodecDecodeError(payload_end, "truncated blob (missing checksum)")
     stored = struct.unpack_from("<I", blob, payload_end)[0]
-    if stored != zlib.crc32(blob[payload_start:payload_end]):
+    if stored != zlib.crc32(memoryview(blob)[payload_start:payload_end]):
         raise CodecDecodeError(payload_start, "payload checksum mismatch")
 
 
@@ -145,7 +145,7 @@ class _RawCodec:
         # _require_field checked finiteness; only a narrower width can overflow
         if stored is not arr and not np.all(np.isfinite(stored)):
             raise CodecError("values overflow the narrower float width")
-        payload = stored.tobytes()
+        payload = stored.data.cast("B")
         blob = _seal(self._id, arr, b"", payload)
         return blob, CodecStats(arr.nbytes, len(payload), arr.nbytes / len(payload), 0.0, 0.0, 0.0)
 
@@ -300,7 +300,7 @@ class QuantCodec:
             ).reshape(len(blocks), count * width)
             packed = np.packbits(bits, axis=-1, bitorder="little")
             payload[(at[blocks] + _HEAD_BYTES)[:, None] + np.arange(packed.shape[1])] = packed
-        payload = payload.tobytes()
+        payload = payload.data
         header = struct.pack("<ddI", self.tolerance, step, len(base))
         blob = _seal(_ID_QUANT, arr, header, payload)
         return blob, CodecStats(arr.nbytes, len(payload), arr.nbytes / len(payload), 0.0, 0.0, err)

@@ -6,7 +6,10 @@ restartable state after step i is the pair (u_{i-1}, u_i), stacked as one
 array of shape (2, *grid).  The reverse sweep propagates the exact discrete
 transpose of that update, injects receiver residuals as adjoint sources,
 and accumulates the objective gradient with respect to the squared
-slowness m.
+slowness m.  Each operator (a ``WaveStepper``, or one ``simulate`` or
+``adjoint_source_series`` call) computes its coefficients once and reuses
+one workspace for every step, yet every step returns fresh arrays, and the
+results are bit-identical to evaluating the plain formulas step by step.
 
 ``execute`` drives any ``Stepper`` through a schedule produced by the
 schedule module, pulling checkpoints from a ``CheckpointStore`` through a
@@ -24,6 +27,7 @@ codec profiles on its final state for bandwidth, ratio and codec times.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Protocol
@@ -69,7 +73,8 @@ class WaveParams:
 
     ``slowness_sq`` is 1/c(x)^2.  The leapfrog update is stable only under
     dt <= spacing * sqrt(min slowness_sq) / sqrt(ndim); construction fails
-    on violation rather than letting a run blow up midway.
+    on violation rather than letting a run blow up midway, and on a ``dt``
+    or ``spacing`` that is not finite and positive.
     """
 
     shape: tuple[int, ...]
@@ -89,6 +94,10 @@ class WaveParams:
             raise InvalidArgumentError("slowness_sq shape does not match the grid")
         if np.any(self.slowness_sq <= 0):
             raise InvalidArgumentError("slowness_sq must be positive everywhere")
+        for name in ("dt", "spacing"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise InvalidArgumentError(f"{name} must be finite and positive, got {value!r}")
         if self.nt < 1 or len(self.wavelet) < self.nt:
             raise InvalidArgumentError("need nt >= 1 and a wavelet covering nt steps")
         limit = self.spacing * np.sqrt(self.slowness_sq.min()) / np.sqrt(ndim)
@@ -130,39 +139,127 @@ def homogeneous_params(
     )
 
 
-def _laplacian(u: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(u)
-    if u.ndim == 1:
-        out[1:-1] = u[:-2] + u[2:] - 2.0 * u[1:-1]
-    else:
+class _WaveKernel:
+    """Forward and adjoint stencil of one ``WaveParams``, with its own workspace.
+
+    What does not change from step to step is computed here once: the
+    coefficient field dt^2 / m, h^2, the source amplitude series and the
+    receiver index arrays.  Each step then does only the stencil arithmetic,
+    through ufunc ``out=``, in the operation order of the plain formulas::
+
+        lap      = (sum over axes of (u[i-1] + u[i+1]) - 2 ndim u[i]) / h^2
+        u_next   = (2 u - u_prev) + coeff lap, plus coeff[src] wavelet[step]
+        lam_prev = (2 lam - lam_older) + lap(coeff lam), plus the residuals
+
+    so the results are bit-identical to evaluating those formulas with
+    fresh temporaries.  The arithmetic runs on the band of the flattened
+    grid from the first interior point to the last one, a contiguous slice
+    that strided interior views are several times slower to sweep; the
+    band's boundary points get throwaway values and are then zeroed.  Two
+    band-sized scratch arrays and one grid-sized one are reused by every
+    step, so a kernel must not be shared between threads.
+
+    ``forward`` and ``adjoint`` write every element of ``out``, which must
+    be C-contiguous and must not overlap an input.
+    """
+
+    def __init__(self, params: WaveParams):
+        shape = params.shape
+        strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
+        lo = sum(strides)  # flat index of the first interior point
+        hi = math.prod(shape) - lo
+        self._band = slice(lo, hi)
+        # the two neighbours of each band point along each axis
+        self._pairs = [(slice(lo - st, hi - st), slice(lo + st, hi + st)) for st in strides]
+        self._faces = []
+        for axis in range(len(shape)):
+            for end in (0, -1):
+                face = [slice(None)] * len(shape)
+                face[axis] = end
+                self._faces.append(tuple(face))
+        self._centre = 2.0 * len(shape)
+        self._hh = params.spacing * params.spacing
+        self._slowness_sq = params.slowness_sq.reshape(-1)
+        self.coeff = params.dt**2 / params.slowness_sq
+        self._coeff = self.coeff.reshape(-1)
+        self._source = params.source
+        self._amplitude = self.coeff[params.source] * np.asarray(params.wavelet, dtype=float)
+        self.receivers = tuple(
+            np.array(params.receivers, dtype=np.intp).reshape(-1, len(shape)).T
+        )
+        self._a = np.empty(hi - lo)
+        self._b = np.empty(hi - lo)
+        self._grid = np.empty(math.prod(shape))
+
+    def _laplacian(self, u: np.ndarray) -> np.ndarray:
+        """lap(u) on the band of flat ``u``, in the first scratch array."""
+        a, b = self._a, self._b
         # per-axis pairs summed first: mirror images then produce bitwise
         # identical fields, which the symmetry checks rely on
-        out[1:-1, 1:-1] = (
-            (u[:-2, 1:-1] + u[2:, 1:-1])
-            + (u[1:-1, :-2] + u[1:-1, 2:])
-            - 4.0 * u[1:-1, 1:-1]
-        )
-    out /= h * h
-    return out
+        (lo, hi), *rest = self._pairs
+        np.add(u[lo], u[hi], out=a)
+        for lo, hi in rest:
+            np.add(u[lo], u[hi], out=b)
+            np.add(a, b, out=a)
+        np.multiply(u[self._band], self._centre, out=b)
+        np.subtract(a, b, out=a)
+        return np.divide(a, self._hh, out=a)
 
+    def _leapfrog(
+        self, cur: np.ndarray, older: np.ndarray, lap: np.ndarray, out: np.ndarray
+    ) -> None:
+        """out = (2 cur - older) + lap on the interior, zero on the boundary."""
+        b, band = self._b, self._band
+        np.multiply(cur[band], 2.0, out=b)
+        np.subtract(b, older[band], out=b)
+        np.add(b, lap, out=out.reshape(-1)[band])
+        for face in self._faces:
+            out[face] = 0.0
 
-def _interior(mask_like: np.ndarray) -> tuple[slice, ...]:
-    return tuple(slice(1, -1) for _ in mask_like.shape)
+    def forward(
+        self, u_prev: np.ndarray, u_curr: np.ndarray, step: int, out: np.ndarray
+    ) -> np.ndarray:
+        """u after ``step`` into ``out``."""
+        u_curr = u_curr.reshape(-1)
+        lap = self._laplacian(u_curr)
+        np.multiply(self._coeff[self._band], lap, out=lap)
+        self._leapfrog(u_curr, u_prev.reshape(-1), lap, out)
+        out[self._source] += self._amplitude[step]
+        return out
+
+    def adjoint(
+        self, lam: np.ndarray, lam_older: np.ndarray, residual, out: np.ndarray
+    ) -> np.ndarray:
+        """Exact transpose of ``forward`` with ``residual`` injected at the receivers."""
+        lam = lam.reshape(-1)
+        lap = self._laplacian(np.multiply(self._coeff, lam, out=self._grid))
+        self._leapfrog(lam, lam_older.reshape(-1), lap, out)
+        # unbuffered, so a receiver listed twice gets its residual twice
+        np.add.at(out, self.receivers, residual)
+        return out
+
+    def gradient(
+        self,
+        gradient: np.ndarray,
+        lam_prev: np.ndarray,
+        u_before: np.ndarray,
+        u_at: np.ndarray,
+        u_after: np.ndarray,
+    ) -> np.ndarray:
+        """Fresh gradient - lam_prev * (u_after - 2 u_at + u_before) / m."""
+        t = np.multiply(u_at.reshape(-1), 2.0, out=self._grid)
+        np.subtract(u_after.reshape(-1), t, out=t)
+        np.add(t, u_before.reshape(-1), out=t)
+        np.divide(t, self._slowness_sq, out=t)
+        np.multiply(lam_prev.reshape(-1), t, out=t)
+        return np.subtract(gradient, t.reshape(gradient.shape))
 
 
 def wave_forward_step(
     u_prev: np.ndarray, u_curr: np.ndarray, params: WaveParams, step: int
 ) -> np.ndarray:
     """One leapfrog update; boundaries stay at zero."""
-    coeff = params.dt**2 / params.slowness_sq
-    u_next = np.zeros_like(u_curr)
-    inner = _interior(u_curr)
-    lap = _laplacian(u_curr, params.spacing)
-    u_next[inner] = (
-        2.0 * u_curr[inner] - u_prev[inner] + coeff[inner] * lap[inner]
-    )
-    u_next[params.source] += coeff[params.source] * params.wavelet[step]
-    return u_next
+    return _WaveKernel(params).forward(u_prev, u_curr, step, np.empty_like(u_curr, order="C"))
 
 
 def wave_adjoint_step(
@@ -172,14 +269,7 @@ def wave_adjoint_step(
     params: WaveParams,
 ) -> np.ndarray:
     """Exact transpose of the forward update with residuals injected at receivers."""
-    coeff = params.dt**2 / params.slowness_sq
-    lam_prev = np.zeros_like(lam)
-    inner = _interior(lam)
-    lap = _laplacian(coeff * lam, params.spacing)
-    lam_prev[inner] = 2.0 * lam[inner] - lam_older[inner] + lap[inner]
-    for j, loc in enumerate(params.receivers):
-        lam_prev[loc] += residual[j]
-    return lam_prev
+    return _WaveKernel(params).adjoint(lam, lam_older, residual, np.empty_like(lam, order="C"))
 
 
 def misfit(d_sim: np.ndarray, d_obs: np.ndarray) -> float:
@@ -192,14 +282,13 @@ def simulate(params: WaveParams, wavelet: np.ndarray | None = None) -> np.ndarra
     """Forward sweep recording receivers; row i holds the data after step i."""
     if wavelet is not None:
         params = replace(params, wavelet=np.asarray(wavelet, dtype=float))
-    u_prev = np.zeros(params.shape)
-    u_curr = np.zeros(params.shape)
+    kernel = _WaveKernel(params)
+    u_prev, u_curr, u_next = (np.zeros(params.shape) for _ in range(3))
     data = np.zeros((params.nt, len(params.receivers)))
     for i in range(params.nt):
-        u_next = wave_forward_step(u_prev, u_curr, params, i)
-        for j, loc in enumerate(params.receivers):
-            data[i, j] = u_next[loc]
-        u_prev, u_curr = u_curr, u_next
+        kernel.forward(u_prev, u_curr, i, u_next)
+        data[i] = u_next[kernel.receivers]
+        u_prev, u_curr, u_next = u_curr, u_next, u_prev
     return data
 
 
@@ -245,6 +334,7 @@ class WaveStepper:
                 f"d_obs must have shape ({params.nt}, {len(params.receivers)})"
             )
         self.d_obs = d_obs
+        self._kernel = _WaveKernel(params)
 
     def initial_state(self) -> np.ndarray:
         return np.zeros((2, *self.params.shape))
@@ -254,20 +344,21 @@ class WaveStepper:
         return WaveAdjoint(z, z.copy(), np.zeros(self.params.shape), 0.0)
 
     def forward(self, state: np.ndarray, step: int) -> np.ndarray:
-        u_next = wave_forward_step(state[0], state[1], self.params, step)
-        return np.stack([state[1], u_next])
+        out = np.empty_like(state, order="C")
+        out[0] = state[1]
+        self._kernel.forward(state[0], state[1], step, out[1])
+        return out
 
     def adjoint(
         self, adj: WaveAdjoint, state: np.ndarray, state_next: np.ndarray, step: int
     ) -> WaveAdjoint:
         u_before, u_at = state[0], state[1]
         u_after = state_next[1]
-        residual = np.array([u_after[loc] for loc in self.params.receivers])
-        residual -= self.d_obs[step]
-        lam_prev = wave_adjoint_step(adj.lam, adj.lam_older, residual, self.params)
-        gradient = adj.gradient - lam_prev * (
-            (u_after - 2.0 * u_at + u_before) / self.params.slowness_sq
-        )
+        kernel = self._kernel
+        residual = u_after[kernel.receivers] - self.d_obs[step]
+        lam_prev = np.empty_like(adj.lam, order="C")
+        kernel.adjoint(adj.lam, adj.lam_older, residual, lam_prev)
+        gradient = kernel.gradient(adj.gradient, lam_prev, u_before, u_at, u_after)
         mis = adj.misfit_value + 0.5 * float(residual @ residual)
         return WaveAdjoint(lam_prev, adj.lam, gradient, mis)
 
@@ -330,14 +421,13 @@ def calibrate(
 def adjoint_source_series(params: WaveParams, residuals: np.ndarray) -> np.ndarray:
     """Transpose of ``simulate``: data-space residuals back to source amplitudes."""
     residuals = np.asarray(residuals, dtype=float)
-    lam = np.zeros(params.shape)
-    lam_older = np.zeros(params.shape)
-    coeff = params.dt**2 / params.slowness_sq
+    kernel = _WaveKernel(params)
+    lam, lam_older, lam_prev = (np.zeros(params.shape) for _ in range(3))
     out = np.zeros(params.nt)
     for i in reversed(range(params.nt)):
-        lam_prev = wave_adjoint_step(lam, lam_older, residuals[i], params)
-        out[i] = coeff[params.source] * lam_prev[params.source]
-        lam, lam_older = lam_prev, lam
+        kernel.adjoint(lam, lam_older, residuals[i], lam_prev)
+        out[i] = kernel.coeff[params.source] * lam_prev[params.source]
+        lam, lam_older, lam_prev = lam_prev, lam, lam_older
     return out
 
 
