@@ -30,7 +30,6 @@ from .perfmodel import (
     classify_regime,
     slots,
     sweep,
-    t_naive,
 )
 from .schedule import (
     ScheduleStats,

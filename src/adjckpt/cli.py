@@ -8,6 +8,7 @@ Errors exit nonzero with one machine-parsable line on stderr:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -30,8 +31,8 @@ def _positive(name):
             val = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
-        if val <= 0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive, got {text}")
+        if not 0 < val < math.inf:
+            raise argparse.ArgumentTypeError(f"{name} must be positive and finite, got {text}")
         return val
 
     return parse
@@ -180,7 +181,7 @@ def _make_field(kind: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
 
 def cmd_profile_codec(args) -> int:
     fieldval = _make_field(args.field, args.shape, args.seed)
-    codec = codecs.get_codec(args.codec, tolerance=args.tolerance, rate=args.rate)
+    codec = codecs.get_codec(args.codec, tolerance=args.tolerance)
     stats = codecs.profile(codec, fieldval, repetitions=args.reps)
     header = "codec,input_bytes,output_bytes,ratio,t_c_s,t_d_s,max_abs_error"
     row = (
@@ -263,9 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify_schedule)
 
     sub = subs.add_parser("profile-codec", help="measure one codec, CSV row out")
-    sub.add_argument("--codec", required=True, choices=["null", "cast", "quant", "rate"])
+    sub.add_argument("--codec", required=True, choices=["null", "cast", "quant"])
     sub.add_argument("--tolerance", type=float, help="absolute error bound (quant)")
-    sub.add_argument("--rate", type=float, help="target bits per value (rate)")
     sub.add_argument("--shape", type=_shape, default="64x64", help="field shape, e.g. 128 or 64x64")
     sub.add_argument("--field", default="wavefield", choices=["noise", "gauss", "sine", "wavefield"])
     sub.add_argument("--reps", type=int, default=5)

@@ -10,12 +10,6 @@ Three codecs cover the compression modes the performance model cares about:
   index once plus bit-packed per-value offsets of minimal width.  Every
   reconstructed value lies within ``tolerance`` of the input.
 
-``FixedRateCodec`` emulates a guaranteed-output-size mode by searching the
-quantizer tolerance until the payload hits the requested bits per value
-(within 5 percent; short payloads are zero-padded up to the target).  The
-search prices each candidate from block bases and widths alone and packs
-bits only once, at the tolerance it settles on.
-
 All encoded blobs share one little-endian envelope so they can be written
 to disk and reread later:
 
@@ -47,10 +41,8 @@ __all__ = [
     "NullCodec",
     "CastCodec",
     "QuantCodec",
-    "FixedRateCodec",
     "get_codec",
     "profile",
-    "lossless_ratio",
 ]
 
 _MAGIC = b"ACKP"
@@ -277,11 +269,6 @@ class QuantCodec:
         top = np.maximum.reduceat(flat, grid.starts)
         return grid, step, flat, base, _bit_length((top - base).astype(np.uint64)), err
 
-    def _payload_bytes(self, arr: np.ndarray) -> int:
-        """Payload size ``encode`` would produce, priced without packing any bits."""
-        grid, _step, _flat, _base, nbits, _err = self._quantize(arr)
-        return int(_block_bytes(grid.counts, nbits).sum())
-
     def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
         arr = _require_field(field)
         grid, step, flat, base, nbits, err = self._quantize(arr)
@@ -340,7 +327,8 @@ class QuantCodec:
         grid = _grid(shape)
         _check_crc(blob, payload_start, pos)
         tail = blob[pos + 4 :]
-        # zero padding after the checksum is legal (fixed-rate mode pads)
+        # zero padding after the checksum stays legal: blobs written when an
+        # encoder padded to a fixed size must still decode
         if tail and any(tail):
             raise CodecDecodeError(pos + 4, "trailing bytes after checksum")
         buf = np.frombuffer(blob, dtype=np.uint8)
@@ -362,63 +350,10 @@ class QuantCodec:
         return out.reshape(shape).astype(dtype)
 
 
-class FixedRateCodec:
-    """Guaranteed payload size: quantize at a searched tolerance, pad if short.
-
-    ``rate`` is the target payload size in bits per value.  The per-block
-    headers put a floor of roughly 12 bytes per block on the payload;
-    targets below that floor are rejected rather than silently missed.
-    """
-
-    name = "rate"
-
-    def __init__(self, rate: float):
-        if not (rate > 0 and np.isfinite(rate)):
-            raise InvalidArgumentError(f"rate must be positive bits per value, got {rate}")
-        self.rate = float(rate)
-
-    def _target_bytes(self, count: int) -> int:
-        return max(1, int(np.ceil(self.rate * count / 8)))
-
-    def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
-        arr = _require_field(field)
-        target = self._target_bytes(arr.size)
-        span = float(arr.max() - arr.min()) if arr.size else 0.0
-        tol_hi = max(span, abs(float(arr.max(initial=0.0))), 1.0)
-        floor_bytes = QuantCodec(tol_hi)._payload_bytes(arr)
-        if floor_bytes > target * 1.05:
-            raise CodecError(
-                f"rate {self.rate} bits/value is below the format floor of "
-                f"{floor_bytes * 8 / arr.size:.2f} bits/value"
-            )
-        # Below a few ulps of the largest value no tolerance can be honored
-        # (QuantCodec raises), so the search must not descend there.
-        floor = 4 * np.finfo(arr.dtype).eps * float(np.abs(arr).max())
-        lo, hi = max(tol_hi * 2.0**-60, floor), tol_hi
-        best = tol_hi
-        for _ in range(60):
-            mid = float(np.sqrt(lo * hi))
-            if QuantCodec(mid)._payload_bytes(arr) <= target:
-                best = hi = mid
-            else:
-                lo = mid
-            if hi / lo < 1.0 + 1e-12:
-                break
-        blob, stats = QuantCodec(best).encode(arr)
-        pad = max(0, target - stats.output_bytes)
-        if pad:
-            blob = blob + b"\x00" * pad
-        final_bytes = stats.output_bytes + pad
-        return blob, replace(stats, output_bytes=final_bytes, ratio=arr.nbytes / final_bytes)
-
-    def decode(self, blob: bytes) -> np.ndarray:
-        return QuantCodec(1.0).decode(blob)
+Codec = NullCodec | CastCodec | QuantCodec
 
 
-Codec = NullCodec | CastCodec | QuantCodec | FixedRateCodec
-
-
-def get_codec(name: str, tolerance: float | None = None, rate: float | None = None) -> Codec:
+def get_codec(name: str, tolerance: float | None = None) -> Codec:
     if name == "null":
         return NullCodec()
     if name == "cast":
@@ -427,11 +362,7 @@ def get_codec(name: str, tolerance: float | None = None, rate: float | None = No
         if tolerance is None:
             raise InvalidArgumentError("quant codec needs a tolerance")
         return QuantCodec(tolerance)
-    if name == "rate":
-        if rate is None:
-            raise InvalidArgumentError("rate codec needs a bits-per-value rate")
-        return FixedRateCodec(rate)
-    raise InvalidArgumentError(f"unknown codec {name!r} (choose null, cast, quant, rate)")
+    raise InvalidArgumentError(f"unknown codec {name!r} (choose null, cast, quant)")
 
 
 def profile(codec: Codec, field: np.ndarray, repetitions: int = 5) -> CodecStats:
@@ -454,9 +385,3 @@ def profile(codec: Codec, field: np.ndarray, repetitions: int = 5) -> CodecStats
         raise CodecError("codec produced non-deterministic bytes across repetitions")
     err = float(np.abs(arr.astype(np.float64) - out.astype(np.float64)).max(initial=0.0))
     return replace(stats, t_c=t_enc / repetitions, t_d=t_dec / repetitions, max_abs_error=err)
-
-
-def lossless_ratio(field: np.ndarray) -> float:
-    """Compression ratio of zlib at its highest level over the raw bytes."""
-    raw = np.ascontiguousarray(field).tobytes()
-    return len(raw) / len(zlib.compress(raw, 9))

@@ -48,8 +48,6 @@ __all__ = [
     "ExecutionStats",
     "ExecutionResult",
     "ricker_wavelet",
-    "wave_forward_step",
-    "wave_adjoint_step",
     "misfit",
     "simulate",
     "adjoint_source_series",
@@ -253,23 +251,6 @@ class _WaveKernel:
         np.divide(t, self._slowness_sq, out=t)
         np.multiply(lam_prev.reshape(-1), t, out=t)
         return np.subtract(gradient, t.reshape(gradient.shape))
-
-
-def wave_forward_step(
-    u_prev: np.ndarray, u_curr: np.ndarray, params: WaveParams, step: int
-) -> np.ndarray:
-    """One leapfrog update; boundaries stay at zero."""
-    return _WaveKernel(params).forward(u_prev, u_curr, step, np.empty_like(u_curr, order="C"))
-
-
-def wave_adjoint_step(
-    lam: np.ndarray,
-    lam_older: np.ndarray,
-    residual: np.ndarray,
-    params: WaveParams,
-) -> np.ndarray:
-    """Exact transpose of the forward update with residuals injected at receivers."""
-    return _WaveKernel(params).adjoint(lam, lam_older, residual, np.empty_like(lam, order="C"))
 
 
 def misfit(d_sim: np.ndarray, d_obs: np.ndarray) -> float:

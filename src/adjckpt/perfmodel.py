@@ -62,7 +62,8 @@ REGIME_NO_ACTION_NEEDED = "no-action-needed"
 
 @dataclass(frozen=True)
 class PerfParams:
-    """One configuration of the cost model; every field strictly positive."""
+    """One configuration of the cost model; every field finite, the codec
+    times non-negative, the ratio at least 1 and the rest strictly positive."""
 
     step_cost: float  # seconds per primal (or adjoint) step
     nsteps: int
@@ -74,13 +75,14 @@ class PerfParams:
     decompress_time: float = 0.0  # seconds to decompress one state
 
     def __post_init__(self):
+        # each test is false for nan and exact for ints too large for a float
         for name in ("step_cost", "nsteps", "state_bytes", "bandwidth", "memory_bytes"):
-            if not getattr(self, name) > 0:
-                raise InvalidArgumentError(f"{name} must be strictly positive")
-        if not self.ratio >= 1.0:
-            raise InvalidArgumentError(f"ratio must be >= 1, got {self.ratio}")
-        if self.compress_time < 0 or self.decompress_time < 0:
-            raise InvalidArgumentError("codec times cannot be negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidArgumentError(f"{name} must be finite and strictly positive")
+        if not 1.0 <= self.ratio < math.inf:
+            raise InvalidArgumentError(f"ratio must be finite and >= 1, got {self.ratio}")
+        if not (0 <= self.compress_time < math.inf and 0 <= self.decompress_time < math.inf):
+            raise InvalidArgumentError("codec times must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,8 @@ class SweepRow:
 def _axis_values(axis: str, lo: float, hi: float, samples: int) -> list[float]:
     if samples < 1:
         raise InvalidArgumentError("samples must be >= 1")
-    if lo <= 0 or hi < lo:
-        raise InvalidArgumentError(f"need 0 < lo <= hi, got {lo}..{hi}")
+    if not 0 < lo <= hi < math.inf:
+        raise InvalidArgumentError(f"need finite 0 < lo <= hi, got {lo}..{hi}")
     if samples == 1 or lo == hi:
         return [float(lo)]
     if axis == "nsteps":

@@ -225,6 +225,13 @@ class TestRun:
     ["profile-codec", "--codec", "null", "--field", "wavefield", "--shape", "5x5x5x5"],
     ["sweep", "--axis", "memory", "--range", "a:b:3"],
     ["sweep", "--axis", "memory", "--range", "1e9:2e9:x"],
+    ["sweep", "--axis", "memory", "--range", "1e9:inf:3"],
+    ["advise", "--ratio", "inf"],
+    ["advise", "--memory", "inf"],
+    ["advise", "--step-cost", "inf"],
+    ["advise", "--tc", "nan"],
+    ["run", "--budget", "inf"],
+    ["profile-codec", "--codec", "rate", "--rate", "8"],
 ], ids=" ".join)
 def test_bad_shape_or_range_text_exits_2(capsys, argv):
     try:
@@ -233,7 +240,8 @@ def test_bad_shape_or_range_text_exits_2(capsys, argv):
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2
-    assert "error" in err and "Traceback" not in err
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 def _readme_commands():

@@ -24,8 +24,9 @@ def null_store_for(stepper, m):
 class TestForwardOperator:
     def test_zero_source_keeps_zero_field(self):
         params = replace(driver.homogeneous_params((31,), nt=10), wavelet=np.zeros(10))
-        u = driver.wave_forward_step(np.zeros(31), np.zeros(31), params, 0)
-        assert not u.any()
+        stepper = driver.WaveStepper(params)
+        state = stepper.forward(stepper.initial_state(), 0)
+        assert not state.any()
 
     def test_point_source_field_is_symmetric(self):
         params = driver.homogeneous_params((41,), nt=30)
@@ -198,12 +199,12 @@ class TestWaveKernel:
             assert not np.shares_memory(states[-1], states[-2])
             if i:
                 assert not np.shares_memory(states[-1], states[-3])
-        # a kept trajectory equals one recomputed step by step
-        params = stepper.params
+        # a kept trajectory equals one recomputed step by step, each step by
+        # a fresh stepper: a reused workspace carries nothing between steps
+        params, d_obs = stepper.params, stepper.d_obs
         for i in range(nt):
-            assert np.array_equal(states[i + 1][0], states[i][1])
-            step = driver.wave_forward_step(states[i][0], states[i][1], params, i)
-            assert np.array_equal(states[i + 1][1], step)
+            step = driver.WaveStepper(params, d_obs).forward(states[i], i)
+            assert np.array_equal(states[i + 1], step)
 
         adjs = [stepper.initial_adjoint()]
         for i in reversed(range(nt)):
@@ -219,11 +220,9 @@ class TestWaveKernel:
             for out in (new.lam, new.gradient):
                 assert not any(np.shares_memory(out, a) for a in inputs)
             adjs.append(new)
-        d_obs = stepper.d_obs
         for k, i in enumerate(reversed(range(nt))):
-            residual = states[i + 1][1][tuple(np.array(params.receivers).T)] - d_obs[i]
-            lam_prev = driver.wave_adjoint_step(adjs[k].lam, adjs[k].lam_older, residual, params)
-            assert np.array_equal(adjs[k + 1].lam, lam_prev)
+            fresh = driver.WaveStepper(params, d_obs).adjoint(adjs[k], states[i], states[i + 1], i)
+            assert np.array_equal(adjs[k + 1].lam, fresh.lam)
 
     def test_steps_allocate_only_their_outputs(self):
         # the workspace is the stepper's: one step allocates its fresh

@@ -33,6 +33,8 @@ class TestBasics:
             params(step_cost=0.0)
         with pytest.raises(InvalidArgumentError):
             params(compress_time=-1.0)
+        with pytest.raises(InvalidArgumentError, match="ratio must be finite"):
+            params(ratio=float("inf"))
 
     def test_slots(self):
         p = params(memory_bytes=10 * 900e6, ratio=4.0)
