@@ -12,32 +12,6 @@ memory-constrained adjoint (forward-then-reverse) computations:
   for end-to-end verification and calibration.
 """
 
-from .codecs import CodecStats, get_codec, profile
-from .driver import (
-    ExecutionStats,
-    WaveParams,
-    WaveStepper,
-    dot_test,
-    execute,
-    misfit,
-    reference_adjoint,
-    ricker_wavelet,
-    simulate,
-)
-from .perfmodel import (
-    PerfParams,
-    RegimeReport,
-    classify_regime,
-    slots,
-    sweep,
-)
-from .schedule import (
-    ScheduleStats,
-    generate_schedule,
-    recompute_count,
-    schedule_counts,
-    schedule_stats,
-)
-from .store import CheckpointStore
+from . import codecs, driver, perfmodel, schedule, store  # noqa: F401
 
 __version__ = "0.1.0"

@@ -259,10 +259,8 @@ def misfit(d_sim: np.ndarray, d_obs: np.ndarray) -> float:
     return 0.5 * float(np.vdot(diff, diff).real)
 
 
-def simulate(params: WaveParams, wavelet: np.ndarray | None = None) -> np.ndarray:
+def simulate(params: WaveParams) -> np.ndarray:
     """Forward sweep recording receivers; row i holds the data after step i."""
-    if wavelet is not None:
-        params = replace(params, wavelet=np.asarray(wavelet, dtype=float))
     kernel = _WaveKernel(params)
     u_prev, u_curr, u_next = (np.zeros(params.shape) for _ in range(3))
     data = np.zeros((params.nt, len(params.receivers)))
@@ -419,7 +417,7 @@ def dot_test(params: WaveParams, trials: int = 20, seed: int = 0) -> float:
     for _ in range(trials):
         w = rng.normal(size=params.nt)
         r = rng.normal(size=(params.nt, len(params.receivers)))
-        d = simulate(params, wavelet=w)
+        d = simulate(replace(params, wavelet=w))
         g = adjoint_source_series(params, r)
         lhs = float(np.vdot(d, r).real)
         rhs = float(np.vdot(w, g).real)

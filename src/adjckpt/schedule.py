@@ -133,10 +133,14 @@ def _check_args(n: int, m: int) -> None:
 # quadratic closed form; every other row is built by the recurrence itself.
 # The near-full zone p(n, m) = n - m + 1 for m < n <= 2m - 1 (provable from
 # the recurrence) only lets ``recompute_count`` and ``_split`` answer such
-# queries without building rows.
+# queries without building rows.  Unreached entries hold ``_UNREACHED``,
+# which every count must stay below: p(n, m) <= p(n, 1) = n(n-1)/2, so rows
+# are exact up to ``_MAX_ROW_N`` steps and refused beyond.
 # ---------------------------------------------------------------------------
 
 _ROWS: dict[int, np.ndarray] = {}
+_UNREACHED = 1 << 60
+_MAX_ROW_N = 1_518_500_250  # the largest n with n(n-1)/2 < _UNREACHED
 
 
 def _row_m1(nmax: int) -> np.ndarray:
@@ -145,7 +149,7 @@ def _row_m1(nmax: int) -> np.ndarray:
 
 
 def _build_row(m: int, nmax: int, prev: np.ndarray) -> np.ndarray:
-    row = np.full(nmax + 1, np.int64(1) << 60, dtype=np.int64)
+    row = np.full(nmax + 1, _UNREACHED, dtype=np.int64)
     row[: m + 1] = 0
     # Split k lowers every later n at once; row[k] is final when k is reached.
     for k in range(1, nmax):
@@ -155,6 +159,8 @@ def _build_row(m: int, nmax: int, prev: np.ndarray) -> np.ndarray:
 
 
 def _ensure_rows(m: int, nmax: int) -> None:
+    if nmax > _MAX_ROW_N:
+        raise InvalidArgumentError(f"{nmax} steps need DP rows past their limit of {_MAX_ROW_N} steps")
     have = _ROWS.get(1)
     if have is None or have.size <= nmax:
         _ROWS[1] = _row_m1(nmax)

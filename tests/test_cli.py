@@ -232,6 +232,8 @@ class TestRun:
     ["advise", "--tc", "nan"],
     ["run", "--budget", "inf"],
     ["profile-codec", "--codec", "rate", "--rate", "8"],
+    ["advise", "--nsteps", "100000000000000000000000"],
+    ["advise", "--nsteps", "2000000000"],
 ], ids=" ".join)
 def test_bad_shape_or_range_text_exits_2(capsys, argv):
     try:

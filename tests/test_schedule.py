@@ -82,6 +82,16 @@ class TestRecomputeCount:
             with pytest.raises(InvalidArgumentError):
                 sched.recompute_count(n, m)
 
+    def test_step_counts_past_the_rows_rejected(self):
+        n = sched._MAX_ROW_N
+        assert n * (n - 1) // 2 < sched._UNREACHED <= (n + 1) * n // 2
+        with pytest.raises(InvalidArgumentError):
+            sched.recompute_count(2**31, 8)
+        # queries that need no rows still answer
+        assert sched.recompute_count(2**31, 1) == 2**31 * (2**31 - 1) // 2
+        assert sched.recompute_count(2**31, 2**31) == 0
+        assert sched.recompute_count(2**31, 2**30 + 1) == 2**30
+
     def test_single_slot_closed_form(self):
         for n in range(1, 101):
             assert sched.recompute_count(n, 1) == n * (n - 1) // 2

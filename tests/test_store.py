@@ -139,39 +139,37 @@ def test_slot_count_matches_model_slots():
 
 @given(
     ops=st.lists(
-        st.tuples(st.sampled_from(["put", "free", "get"]), st.integers(0, 5)),
+        st.tuples(
+            st.sampled_from(["put", "overwrite", "free", "get"]),
+            st.integers(0, 5),
+            st.sampled_from([64, 24]),
+        ),
         max_size=60,
     )
 )
 @settings(max_examples=60, deadline=None)
 def test_budget_never_exceeded_under_random_traffic(ops):
     codec = codecs.NullCodec()
-    fieldval = np.arange(64, dtype=float)
-    size = blob_bytes(fieldval, codec)
-    store = CheckpointStore(budget_bytes=int(3.5 * size))
-    for op, slot in ops:
+    fields = {size: np.arange(size, dtype=float) for size in (64, 24)}
+    store = CheckpointStore(budget_bytes=int(3.5 * blob_bytes(fields[64], codec)))
+    live = {}  # slot -> length of the blob it holds
+    for op, slot, size in ops:
         try:
-            if op == "put":
-                store.put(slot, slot, fieldval, codec)
+            if op in ("put", "overwrite"):
+                store.put(slot, slot, fields[size], codec, overwrite=op == "overwrite")
+                live[slot] = blob_bytes(fields[size], codec)
             elif op == "free":
                 store.free(slot)
+                del live[slot]
             else:
                 store.get(slot, codec)
         except (CapacityError, MissingCheckpointError, InvalidArgumentError):
             pass
+        assert store.bytes_used == sum(live.values())
         assert 0 <= store.bytes_used <= store.budget_bytes
 
 
-def test_spill_to_file_round_trip(tmp_path, state):
-    codec = codecs.NullCodec()
-    store = CheckpointStore(
-        budget_bytes=4 * blob_bytes(state, codec), spill_dir=tmp_path
-    )
-    store.put(2, 9, state, codec)
-    files = list(tmp_path.glob("*.ckpt"))
-    assert len(files) == 1
-    step, out = store.get(2, codec)
-    assert step == 9 and np.array_equal(out, state)
-    store.free(2)
-    assert not list(tmp_path.glob("*.ckpt"))
-
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0, -1])
+def test_budget_must_be_positive_and_finite(budget):
+    with pytest.raises(InvalidArgumentError):
+        CheckpointStore(budget)
