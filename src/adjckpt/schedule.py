@@ -2,15 +2,18 @@
 
 Reversing ``n`` forward steps with only ``m`` checkpoint slots forces some
 steps to be recomputed.  ``recompute_count`` evaluates Revolve's replay count
-(Griewank & Walther, *Algorithm 799: Revolve*, ACM TOMS 2000) by dynamic
-programming:
+(Griewank & Walther, *Algorithm 799: Revolve*, ACM TOMS 2000), the optimum of
+the recurrence
 
     p(n, 1) = n(n-1)/2
     p(n, m) = 0                                             for m >= n
     p(n, m) = min over 1 <= k <= n-1 of k + p(k, m) + p(n-k, m-1)
 
-``generate_schedule`` expands the argmin tree of that recurrence into a
-concrete action stream.  The stream drives a small register machine:
+It does not relax that recurrence: each row p(., m) is built in O(n) from
+the binomial level structure of its first differences (see "Rows" below).
+That structure equals the recurrence on the grid the tests check; it is not
+proven.  ``generate_schedule`` expands the argmin tree of the recurrence into
+a concrete action stream.  The stream drives a small register machine:
 
   * ``cur``    the live primal state (one step index),
   * ``upper``  the state one step above ``cur``, produced either by a
@@ -44,6 +47,7 @@ are reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 from typing import Iterable, Union
@@ -126,48 +130,68 @@ def _check_args(n: int, m: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Dynamic program
+# Rows
 #
-# Rows of the DP table are cached per slot count.  Row m holds p(n, m) for
-# every n up to the largest query seen so far.  The m == 1 row is the
-# quadratic closed form; every other row is built by the recurrence itself.
-# The near-full zone p(n, m) = n - m + 1 for m < n <= 2m - 1 (provable from
-# the recurrence) only lets ``recompute_count`` and ``_split`` answer such
-# queries without building rows.  Unreached entries hold ``_UNREACHED``,
-# which every count must stay below: p(n, m) <= p(n, 1) = n(n-1)/2, so rows
-# are exact up to ``_MAX_ROW_N`` steps and refused beyond.
+# Row m holds p(n, m) for every n up to the largest query seen so far, cached
+# per slot count.  Row 1 is the closed form n(n-1)/2.  For m >= 2 the row is
+# the running sum of its first differences d(n) = p(n, m) - p(n-1, m), which
+# fall into levels r = 1, 2, ...:
+#
+#   * p(n, m) = 0 for n <= m.  Level r covers B(m, r-1) < n <= B(m, r), where
+#     B(m, 0) = m and B(m, r) = C(m+r, r+1) + C(m+r-1, r-1), so it is
+#     B(m-1, r) entries long, and each d(n) in it is r or r+1.
+#   * Level r opens with C(m+r-3, r-2) differences equal to r (none at r = 1).
+#   * Then come blocks, each one r+1 followed by g-1 r's: for g = m-1 down to
+#     3, C(r-1+j, j) blocks of length g, where j = m-1-g; blocks of length 2
+#     fill the rest of the level.
+#
+# This structure is checked against the recurrence itself (every m <= 120 at
+# n <= 1500, m <= 6 at n <= 6000, and far-out entries; tests/test_schedule.py),
+# not proven.  Rows do not depend on each other, so only asked-for rows are
+# built, each in O(n) however large m is.  The near-full zone
+# p(n, m) = n - m + 1 for m < n <= 2m - 1 (provable from the recurrence)
+# lets ``recompute_count`` and ``_split`` answer such queries without a row.
+# Entries are at most p(n, 1) = n(n-1)/2, which stays below 2**60 up to
+# ``_MAX_ROW_N`` steps; longer rows are refused.
 # ---------------------------------------------------------------------------
 
 _ROWS: dict[int, np.ndarray] = {}
-_UNREACHED = 1 << 60
-_MAX_ROW_N = 1_518_500_250  # the largest n with n(n-1)/2 < _UNREACHED
+_MAX_ROW_N = 1_518_500_250  # the largest n with n(n-1)/2 < 2**60
 
 
-def _row_m1(nmax: int) -> np.ndarray:
-    n = np.arange(nmax + 1, dtype=np.int64)
-    return n * (n - 1) // 2
+def _build_row(m: int, nmax: int) -> np.ndarray:
+    if m == 1:
+        n = np.arange(nmax + 1, dtype=np.int64)
+        return n * (n - 1) // 2
+    d = np.zeros(nmax + 1, dtype=np.int64)
+    lo, r = m + 1, 1
+    while lo <= nmax:
+        # Binomials can outgrow int64, so every index is clipped to the level.
+        hi = min(lo + math.comb(m + r - 1, r + 1) + math.comb(m + r - 2, r - 1), nmax + 1)
+        d[lo:hi] = r
+        at = min(lo + (math.comb(m + r - 3, r - 2) if r > 1 else 0), hi)
+        blocks = 1
+        for j, g in enumerate(range(m - 1, 2, -1)):
+            if at >= hi:
+                break
+            if j:
+                blocks = blocks * (r - 1 + j) // j  # C(r-1+j, j) from C(r-2+j, j-1)
+            end = min(at + blocks * g, hi)
+            d[at:end:g] = r + 1
+            at = end
+        d[at:hi:2] = r + 1
+        lo, r = hi, r + 1
+    return np.cumsum(d, out=d)
 
 
-def _build_row(m: int, nmax: int, prev: np.ndarray) -> np.ndarray:
-    row = np.full(nmax + 1, _UNREACHED, dtype=np.int64)
-    row[: m + 1] = 0
-    # Split k lowers every later n at once; row[k] is final when k is reached.
-    for k in range(1, nmax):
-        lo = max(k + 1, m + 1)
-        np.minimum(row[lo:], k + row[k] + prev[lo - k : nmax + 1 - k], out=row[lo:])
+def _row(m: int, nmax: int) -> np.ndarray:
+    """Row m of p, at least nmax + 1 entries long."""
+    row = _ROWS.get(m)
+    if row is None or row.size <= nmax:
+        if nmax > _MAX_ROW_N:
+            raise InvalidArgumentError(f"{nmax} steps need DP rows past their limit of {_MAX_ROW_N} steps")
+        row = _ROWS[m] = _build_row(m, nmax)
     return row
-
-
-def _ensure_rows(m: int, nmax: int) -> None:
-    if nmax > _MAX_ROW_N:
-        raise InvalidArgumentError(f"{nmax} steps need DP rows past their limit of {_MAX_ROW_N} steps")
-    have = _ROWS.get(1)
-    if have is None or have.size <= nmax:
-        _ROWS[1] = _row_m1(nmax)
-    for j in range(2, m + 1):
-        have = _ROWS.get(j)
-        if have is None or have.size <= nmax:
-            _ROWS[j] = _build_row(j, nmax, _ROWS[j - 1])
 
 
 def recompute_count(n: int, m: int) -> int:
@@ -184,16 +208,14 @@ def recompute_count(n: int, m: int) -> int:
         return n * (n - 1) // 2
     if n <= 2 * m - 1:
         return n - m + 1
-    _ensure_rows(m, n)
-    return int(_ROWS[m][n])
+    return int(_row(m, n)[n])
 
 
 def _split(n: int, m: int) -> int:
     """Smallest k minimizing k + p(k, m) + p(n-k, m-1); only for 1 < m < n."""
     if n <= 2 * m - 1:
         return 1 if m == 2 else n - m + 1
-    _ensure_rows(m, n)
-    row, prev = _ROWS[m], _ROWS[m - 1]
+    row, prev = _row(m, n), _row(m - 1, n)
     ks = np.arange(1, n, dtype=np.int64)
     cand = ks + row[1:n] + prev[n - 1 : 0 : -1]
     return int(np.argmin(cand)) + 1
@@ -256,17 +278,25 @@ _WRITES: dict[tuple[int, int], int] = {}
 
 
 def _writes(n: int, m: int) -> int:
-    """Stores one expanded segment makes above its base; memoised."""
-    if m >= n:
-        return n - 1
-    if m == 1:
-        return 0
-    key = (n, m)
-    hit = _WRITES.get(key)
-    if hit is None:
+    """Stores one expanded segment makes above its base; memoised.
+
+    Like ``_expand`` it loops down the segments that keep all m slots and
+    recurses only into m - 1, so its depth is at most m.
+    """
+    chain: list[tuple[int, int]] = []  # (segment length, its own writes) down the loop
+    while 1 < m < n and (n, m) not in _WRITES:
         k = _split(n, m)
-        hit = _WRITES[key] = 1 + _writes(n - k, m - 1) + _writes(k, m)
-    return hit
+        chain.append((n, 1 + _writes(n - k, m - 1)))
+        n = k
+    if m >= n:
+        total = n - 1
+    elif m == 1:
+        total = 0
+    else:
+        total = _WRITES[n, m]
+    for length, own in reversed(chain):
+        total = _WRITES[length, m] = total + own
+    return total
 
 
 def schedule_counts(n: int, m: int) -> ScheduleStats:

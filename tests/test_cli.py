@@ -1,3 +1,4 @@
+import hashlib
 import re
 import shlex
 from pathlib import Path
@@ -72,6 +73,28 @@ class TestSweep:
         run_cli(capsys, *argv, "--out", str(a))
         run_cli(capsys, *argv, "--out", str(b))
         assert a.read_text() == b.read_text()
+
+
+# sha256 prefixes of stdout for advise (defaults, regimes two and three) and
+# the three standard sweeps in README; they change only if the plan changes.
+PLANNING_DIGESTS = [
+    pytest.param(["advise"], "5ab2b7207e81cf7d", id="advise"),
+    pytest.param(["advise", "--memory", "100e9"], "df1491d6f9ee1ba5", id="advise-100e9"),
+    pytest.param(["advise", "--memory", "3e12"], "d43e7ff024c0c2fe", id="advise-3e12"),
+    pytest.param(["sweep", "--axis", "memory", "--range", "2e9:3e12:25"], "df13969043e7bbff",
+                 id="sweep-memory"),
+    pytest.param(["sweep", "--axis", "compute-cost", "--range", "1e-4:1e3:29"], "04f99ba3cf5cf821",
+                 id="sweep-compute-cost"),
+    pytest.param(["sweep", "--axis", "nsteps", "--range", "40:1200:30", "--memory", "4.5e9",
+                  "--ratio", "4"], "f7bead07e04d515f", id="sweep-nsteps"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PLANNING_DIGESTS)
+def test_planning_output_is_byte_stable(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 class TestVerifySchedule:

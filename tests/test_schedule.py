@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +39,25 @@ def plain_dp_table(nmax, mmax):
             ks = np.arange(1, nn)
             table[m, nn] = (ks + table[m, 1:nn] + table[m - 1, nn - 1 : 0 : -1]).min()
     return table
+
+
+def relaxed_rows(mmax, nmax):
+    """Rows 1..mmax of p by relaxing the recurrence, one split k at a time.
+
+    Split k lowers every later n at once, and row[k] is final once k is
+    reached.  O(m * n**2): the oracle for the level-structure rows.
+    """
+    n = np.arange(nmax + 1, dtype=np.int64)
+    rows = {1: n * (n - 1) // 2}
+    for m in range(2, mmax + 1):
+        row = np.full(nmax + 1, 1 << 60, dtype=np.int64)
+        row[: m + 1] = 0
+        prev = rows[m - 1]
+        for k in range(1, nmax):
+            lo = max(k + 1, m + 1)
+            np.minimum(row[lo:], k + row[k] + prev[lo - k : nmax + 1 - k], out=row[lo:])
+        rows[m] = row
+    return rows
 
 
 def machine_oracle(n, m):
@@ -83,8 +103,6 @@ class TestRecomputeCount:
                 sched.recompute_count(n, m)
 
     def test_step_counts_past_the_rows_rejected(self):
-        n = sched._MAX_ROW_N
-        assert n * (n - 1) // 2 < sched._UNREACHED <= (n + 1) * n // 2
         with pytest.raises(InvalidArgumentError):
             sched.recompute_count(2**31, 8)
         # queries that need no rows still answer
@@ -139,6 +157,24 @@ class TestRecomputeCount:
                 else:
                     assert sched.recompute_count(n, m) == table[m, n], (n, m)
 
+    @pytest.mark.parametrize("mmax,nmax", [(120, 1500), (6, 6000)])
+    def test_rows_match_the_relaxed_recurrence(self, mmax, nmax):
+        oracle = relaxed_rows(mmax, nmax)
+        for m in range(1, mmax + 1):
+            np.testing.assert_array_equal(sched._build_row(m, nmax), oracle[m], err_msg=f"m={m}")
+
+    def test_rows_satisfy_the_recurrence_far_out(self):
+        rng = np.random.default_rng(13)
+        nmax = 10**6
+        ms = rng.integers(2, 11, size=100)
+        prev = sched._build_row(1, nmax)
+        for m in range(2, 11):
+            row = sched._build_row(m, nmax)
+            for n in rng.integers(m + 1, nmax + 1, size=int((ms == m).sum())):
+                ks = np.arange(1, n)
+                assert row[n] == (ks + row[1:n] + prev[n - 1 : 0 : -1]).min(), (n, m)
+            prev = row
+
     def test_monotonicity(self):
         for n in range(2, 120):
             for m in range(1, 14):
@@ -151,6 +187,22 @@ class TestRecomputeCount:
         p = sched.recompute_count(n, m)
         assert p >= 0
         assert (p == 0) == (m >= n)
+
+
+class TestScheduleCounts:
+    def test_long_two_slot_chain(self, monkeypatch):
+        # 199 splits keep both slots; the count must not recurse once per split
+        monkeypatch.setattr(sched, "_WRITES", {})
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            counts = sched.schedule_counts(20000, 2)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert counts == sched.ScheduleStats(2646699, 200, 19999, 2)
 
 
 class TestGenerateSchedule:
