@@ -8,7 +8,11 @@ Three codecs cover the compression modes the performance model cares about:
 * ``QuantCodec``      absolute-error-bounded quantization: values snap to a
   lattice of spacing ``1.5 * tolerance`` and each 4**d block stores its base
   index once plus bit-packed per-value offsets of minimal width.  Every
-  reconstructed value lies within ``tolerance`` of the input.
+  reconstructed value lies within ``tolerance`` of the input.  A block
+  whose values are all equal has width 0 and is its 11-byte header alone;
+  encode and decode touch bits only in the other blocks.  Decode first
+  walks the headers, following each width to the next header, and then
+  checks every walked header's count, width and extent at once.
 
 All encoded blobs share one little-endian envelope so they can be written
 to disk and reread later:
@@ -176,6 +180,16 @@ _BLOCK_HEADER = np.dtype([("count", "<u2"), ("base", "<i8"), ("nbits", "u1")])
 _HEAD_BYTES = _BLOCK_HEADER.itemsize
 
 
+def _at_every_byte(buf: np.ndarray, dtype: np.dtype, offset: int = 0) -> np.ndarray:
+    """A view of ``buf`` whose item ``i`` is the ``dtype`` value at byte ``i + offset``."""
+    return np.ndarray((buf.size - offset - dtype.itemsize + 1,), dtype, buf, offset, (1,))
+
+
+def _header_field(buf: np.ndarray, name: str) -> np.ndarray:
+    """Item ``i`` is field ``name`` of the block header that starts at byte ``i``."""
+    return _at_every_byte(buf, *_BLOCK_HEADER.fields[name])
+
+
 class _Grid(NamedTuple):
     """The 4**d block grid of one shape, in payload order.
 
@@ -221,15 +235,80 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.searchsorted(_POW2, x, side="right")
 
 
-def _block_bytes(counts: np.ndarray, nbits: np.ndarray) -> np.ndarray:
-    return _HEAD_BYTES + (counts * nbits + 7) // 8
+def _wide_values(
+    grid: _Grid, at: np.ndarray, nbits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block, block-order index and first bit of every value whose block has bits.
+
+    Value j of block b takes bits [j*w, (j+1)*w) after the header at byte
+    ``at[b]``, low bits first.  Zero-width blocks store no bits, and on
+    wavefields most blocks are zero width.
+    """
+    wide = np.flatnonzero(nbits)
+    counts = grid.counts[wide]
+    block = np.repeat(wide, counts)
+    rank = np.arange(block.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    bit = (at[block] + _HEAD_BYTES) * 8 + rank * nbits[block]
+    return block, grid.starts[block] + rank, bit
 
 
-def _groups(counts: np.ndarray, nbits: np.ndarray):
-    """Yield (count, nbits, block indices) for each distinct shape of non-empty bit data."""
-    keys = nbits << 16 | counts
-    for key in np.unique(keys[nbits > 0]).tolist():
-        yield key & 0xFFFF, key >> 16, np.flatnonzero(keys == key)
+def _walk(
+    blob: bytes, payload_start: int, shape: tuple[int, ...], nblocks: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Header offsets and bit widths of the ``nblocks`` blocks, and the payload's end.
+
+    Each block's start depends on the previous width, so the walk follows
+    the widths alone, taking runs of zero-width blocks a slice at a time;
+    then every walked header's count, width and extent are checked at once.
+    The first failing block raises, at the same offset and for the same
+    fault (count, then width, then truncation) as checking block by block.
+    """
+    size = len(blob)
+    # Every block takes at least a header and none holds 2**16 values, so
+    # once the blob holds every header the grid is no larger than what a
+    # valid blob of this length decodes to.  A blob too short for all the
+    # headers fails within the first `reach` blocks: only their counts are
+    # built, nothing sized by the (unchecked) shape.
+    reach = (size - payload_start) // _HEAD_BYTES + 1
+    if reach > nblocks and math.prod(min(_BLOCK, s) for s in shape) < 2**16:
+        counts = _grid(shape).counts
+    else:
+        counts = _block_counts(shape, min(reach, nblocks))
+    widths = bytearray()
+    pos, i, n, count_list = payload_start, 0, len(counts), counts.tolist()
+    while i < n and pos + _HEAD_BYTES <= size:
+        width = blob[pos + 10]
+        if width:
+            widths.append(width)
+            pos += _HEAD_BYTES + (count_list[i] * width + 7) // 8
+            i += 1
+        else:
+            # Most blocks have width 0: take up to 64 of them at once, as the
+            # leading zeros among the width bytes _HEAD_BYTES apart.  The cap
+            # keeps each slice short where zero and wide blocks alternate.
+            run = blob[pos + 10 : pos + 10 + _HEAD_BYTES * min(n - i, 64) : _HEAD_BYTES]
+            zeros = len(run) - len(run.lstrip(b"\0"))
+            widths += run[:zeros]
+            pos += _HEAD_BYTES * zeros
+            i += zeros
+    nbits = np.frombuffer(widths, dtype=np.uint8)
+    expect = counts[: nbits.size]
+    sizes = _HEAD_BYTES + (expect * nbits + 7) // 8
+    ends = payload_start + np.cumsum(sizes)
+    at = ends - sizes
+    stored = _header_field(np.frombuffer(blob, dtype=np.uint8), "count")[at]
+    bad = np.flatnonzero((stored != expect) | (nbits > 63) | (ends > size))
+    if bad.size:
+        first = bad[0]
+        head, count, width = int(at[first]), int(stored[first]), int(nbits[first])
+        if count != expect[first]:
+            raise CodecDecodeError(head, f"block holds {count} values, grid expects {expect[first]}")
+        if width > 63:
+            raise CodecDecodeError(head + 10, f"corrupt bit width {width}")
+        raise CodecDecodeError(head + _HEAD_BYTES, "truncated blob")
+    if nbits.size < nblocks:
+        raise CodecDecodeError(pos, "truncated blob")
+    return at, nbits.astype(np.int64), int(ends[-1])
 
 
 class QuantCodec:
@@ -249,48 +328,50 @@ class QuantCodec:
         # keeping the absolute-error contract exact down to tolerances a
         # few machine epsilons above the value magnitude.
         step = 1.5 * self.tolerance
-        scaled = arr.astype(np.float64) / step
-        if np.abs(scaled).max(initial=0.0) >= 2**62:
+        grid = _grid(arr.shape)
+        x = arr.ravel()[grid.perm]
+        scaled = np.divide(x, step, dtype=np.float64)
+        if max(scaled.max(), -scaled.min()) >= 2**62:
             raise CodecError("tolerance too small for the value range")
         # round-to-even keeps re-encoding a decoded field stable
-        idx = np.round(scaled).astype(np.int64)
-        approx = (idx.astype(np.float64) * step).astype(arr.dtype)
-        err = float(np.abs(arr - approx).max(initial=0.0))
+        np.rint(scaled, out=scaled)
+        idx = scaled.astype(np.int64)
+        approx = np.multiply(scaled, step, out=scaled).astype(arr.dtype, copy=False)
+        err = float(np.abs(np.subtract(x, approx, out=approx), out=approx).max())
         if err > self.tolerance:
             raise CodecError(
                 f"tolerance {self.tolerance:g} is below what float64 can honor "
                 f"for values of magnitude {np.abs(arr).max():g}"
             )
-        grid = _grid(arr.shape)
         if grid.counts.max() >= 2**16:
             raise InvalidArgumentError(f"{arr.ndim}-d blocks overflow the u16 value count")
-        flat = idx.ravel()[grid.perm]
-        base = np.minimum.reduceat(flat, grid.starts)
-        top = np.maximum.reduceat(flat, grid.starts)
-        return grid, step, flat, base, _bit_length((top - base).astype(np.uint64)), err
+        base = np.minimum.reduceat(idx, grid.starts)
+        top = np.maximum.reduceat(idx, grid.starts)
+        return grid, step, idx, base, _bit_length((top - base).astype(np.uint64)), err
 
     def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
         arr = _require_field(field)
-        grid, step, flat, base, nbits, err = self._quantize(arr)
-        sizes = _block_bytes(grid.counts, nbits)
+        grid, step, idx, base, nbits, err = self._quantize(arr)
+        sizes = _HEAD_BYTES + (grid.counts * nbits + 7) // 8
         at = np.cumsum(sizes) - sizes
-        payload = np.zeros(int(sizes.sum()), dtype=np.uint8)
-        head = np.empty(len(base), dtype=_BLOCK_HEADER)
-        head["count"], head["base"], head["nbits"] = grid.counts, base, nbits
-        payload[at[:, None] + np.arange(_HEAD_BYTES)] = head.view(np.uint8).reshape(len(base), -1)
-        # little-endian bytes of each value's offset from its block's base
-        offsets = (flat - np.repeat(base, grid.counts)).astype("<u8").view(np.uint8).reshape(-1, 8)
-        for count, width, blocks in _groups(grid.counts, nbits):
-            rows = grid.starts[blocks][:, None] + np.arange(count)
-            bits = np.unpackbits(
-                offsets[rows, : (width + 7) // 8], axis=-1, count=width, bitorder="little"
-            ).reshape(len(blocks), count * width)
-            packed = np.packbits(bits, axis=-1, bitorder="little")
-            payload[(at[blocks] + _HEAD_BYTES)[:, None] + np.arange(packed.shape[1])] = packed
-        payload = payload.data
+        total = int(at[-1] + sizes[-1])
+        # whole words, the last one for the high part of a value that ends the payload
+        words = np.zeros(total // 8 + 2, dtype="<u8")
+        payload = words.view(np.uint8)[:total]
+        # Values own disjoint bits, so adding them into the words they
+        # straddle ORs them in.  The high part is offset >> (64 - shift),
+        # split in two because a shift by 64 is undefined.
+        block, rows, bit = _wide_values(grid, at, nbits)
+        offset = (idx[rows] - base[block]).astype(np.uint64)
+        word, shift = bit >> 6, (bit & 63).astype(np.uint64)
+        np.add.at(words, word, offset << shift)
+        np.add.at(words, word + 1, offset >> 1 >> 63 - shift)
+        _header_field(payload, "count")[at] = grid.counts
+        _header_field(payload, "base")[at] = base
+        _header_field(payload, "nbits")[at] = nbits
         header = struct.pack("<ddI", self.tolerance, step, len(base))
-        blob = _seal(_ID_QUANT, arr, header, payload)
-        return blob, CodecStats(arr.nbytes, len(payload), arr.nbytes / len(payload), 0.0, 0.0, err)
+        blob = _seal(_ID_QUANT, arr, header, payload.data)
+        return blob, CodecStats(arr.nbytes, total, arr.nbytes / total, 0.0, 0.0, err)
 
     def decode(self, blob: bytes) -> np.ndarray:
         dtype, shape, header_at = _open_envelope(blob, _ID_QUANT)
@@ -305,49 +386,29 @@ class QuantCodec:
         # still be huge along its other axes
         if not grid_blocks:
             raise CodecDecodeError(8, "shape has an axis of length 0")
-        # Header-only scan: each block's start depends on the previous width.
-        # Every block takes at least a header, so a blob too short for all of
-        # them fails within the first `reach` blocks, before any array sized
-        # by its (unchecked) shape is built.
-        at = []
-        pos, size = payload_start, len(blob)
-        reach = min(nblocks, (size - payload_start) // _HEAD_BYTES + 1)
-        for expect in _block_counts(shape, reach).tolist():
-            if pos + _HEAD_BYTES > size:
-                raise CodecDecodeError(pos, "truncated blob")
-            count, nbits = blob[pos] | blob[pos + 1] << 8, blob[pos + 10]
-            if count != expect:
-                raise CodecDecodeError(pos, f"block holds {count} values, grid expects {expect}")
-            if nbits > 63:
-                raise CodecDecodeError(pos + 10, f"corrupt bit width {nbits}")
-            at.append(pos)
-            pos += _HEAD_BYTES + (count * nbits + 7) // 8
-            if pos > size:
-                raise CodecDecodeError(at[-1] + _HEAD_BYTES, "truncated blob")
+        at, nbits, end = _walk(blob, payload_start, shape, nblocks)
         grid = _grid(shape)
-        _check_crc(blob, payload_start, pos)
-        tail = blob[pos + 4 :]
+        _check_crc(blob, payload_start, end)
+        tail = blob[end + 4 :]
         # zero padding after the checksum stays legal: blobs written when an
         # encoder padded to a fixed size must still decode
         if tail and any(tail):
-            raise CodecDecodeError(pos + 4, "trailing bytes after checksum")
-        buf = np.frombuffer(blob, dtype=np.uint8)
-        at = np.array(at, dtype=np.int64)
-        head = buf[at[:, None] + np.arange(_HEAD_BYTES)].view(_BLOCK_HEADER)[:, 0]
-        # little-endian bytes of each value's offset from its block's base
-        offsets = np.zeros((grid.perm.size, 8), dtype=np.uint8)
-        for count, width, blocks in _groups(grid.counts, head["nbits"].astype(np.int64)):
-            nbytes = (count * width + 7) // 8
-            raw = buf[(at[blocks] + _HEAD_BYTES)[:, None] + np.arange(nbytes)]
-            bits = np.unpackbits(raw, axis=-1, count=count * width, bitorder="little")
-            value_bytes = np.packbits(bits.reshape(-1, width), axis=-1, bitorder="little")
-            rows = grid.starts[blocks][:, None] + np.arange(count)
-            offsets[rows.ravel(), : value_bytes.shape[1]] = value_bytes
-        offsets = offsets.view("<u8")[:, 0].astype(np.int64)
-        flat = (np.repeat(head["base"], grid.counts) + offsets) * step
+            raise CodecDecodeError(end + 4, "trailing bytes after checksum")
+        # zero padding keeps each value's 9-byte read inside the buffer
+        buf = np.frombuffer(b"".join((blob, bytes(8))), dtype=np.uint8)
+        idx = np.repeat(_header_field(buf, "base")[at], grid.counts)
+        block, rows, bit = _wide_values(grid, at, nbits)
+        byte, shift = bit >> 3, (bit & 7).astype(np.uint64)
+        # a value starts at bit `shift` of its little-endian 64-bit word; with
+        # a width above 56 its top bits spill into the byte after that word,
+        # shifted up by 64 - shift in two steps
+        low = _at_every_byte(buf, np.dtype("<u8"))[byte] >> shift
+        high = buf[byte + 8].astype(np.uint64) << 1 << 63 - shift
+        mask = (np.uint64(1) << nbits[block].astype(np.uint64)) - np.uint64(1)
+        idx[rows] += ((low | high) & mask).astype(np.int64)
         out = np.empty(grid.perm.size, dtype=np.float64)
-        out[grid.perm] = flat
-        return out.reshape(shape).astype(dtype)
+        out[grid.perm] = idx * step
+        return out.reshape(shape).astype(dtype, copy=False)
 
 
 Codec = NullCodec | CastCodec | QuantCodec

@@ -1,7 +1,10 @@
 import hashlib
 import itertools
+import math
 import struct
+import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -62,6 +65,21 @@ class TestCastCodec:
 
 
 TOLERANCE_LADDER = [10.0**-e for e in range(0, 16)]
+
+
+@st.composite
+def _sparse_fields(draw):
+    """A zero field with one to three boxes of nonzero values in it."""
+    shape = draw(array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=14))
+    x = np.zeros(shape)
+    for _ in range(draw(st.integers(1, 3))):
+        lo = [draw(st.integers(0, s - 1)) for s in shape]
+        hi = [draw(st.integers(a + 1, min(s, a + 5))) for a, s in zip(lo, shape)]
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        x[box] = draw(
+            arrays(np.float64, x[box].shape, elements=st.floats(-1e6, 1e6, width=64))
+        )
+    return x
 
 
 class TestQuantCodec:
@@ -140,6 +158,12 @@ class TestQuantCodec:
         _assert_round_trip_within_tolerance(x, rel_tol)
 
 
+    @given(_sparse_fields(), st.sampled_from([1e-1, 1e-4, 1e-8]))
+    @settings(max_examples=60, deadline=None)
+    def test_property_error_bound_sparse(self, x, rel_tol):
+        # mostly zero-width blocks beside a few wide ones, like early wavefields
+        _assert_round_trip_within_tolerance(x, rel_tol)
+
     @given(
         arrays(
             np.float64,
@@ -187,6 +211,8 @@ def _assert_round_trip_within_tolerance(x, rel_tol):
     assert y.shape == x.shape
     assert np.abs(x - y).max(initial=0.0) <= tol
     assert codec.encode(x)[0] == blob
+    # the decoded field lies on the lattice, so it re-encodes to the same blob
+    assert codec.encode(y)[0] == blob
 
 
 class TestFormat:
@@ -247,6 +273,29 @@ class TestFormat:
         for name, codec, x in cases:
             digest = hashlib.sha256(codec.encode(x)[0]).hexdigest()
             assert digest == self.GOLDEN[name], name
+
+    # sha256 of quant blobs of an early and a late state of a small wave
+    # run, recorded before zero-width blocks skipped the bit packer: these
+    # states mix zero-width and wide blocks, and 38x41 has partial edge blocks
+    SPARSE_GOLDEN = {
+        (12, "float64"): "ac14c68a1ba3edd7f67a24c5cf225358f0aa71a563a5b39a6477bb3a3cfdc460",
+        (12, "float32"): "6edda270a5e23f58335afb12b56f634d62f1c4b08fa248f4de49ce1bbaf398cd",
+        (48, "float64"): "5154a153821a15f5ac5a5b420db859c8951a0c7905cc1654dceff86859147f69",
+        (48, "float32"): "dede366af530589f1490f8474b806845cedb979819118e63f30664f648fc4f32",
+    }
+
+    def test_sparse_wavefield_quant_blobs_byte_stable(self):
+        params = driver.homogeneous_params((38, 41), nt=48)
+        stepper = driver.WaveStepper(params)
+        state = stepper.initial_state()
+        digests = {}
+        for i in range(params.nt):
+            state = stepper.forward(state, i)
+            if i + 1 in (12, 48):
+                for dtype, tol in ((np.float64, 1e-6), (np.float32, 1e-4)):
+                    blob = codecs.QuantCodec(tol).encode(state.astype(dtype))[0]
+                    digests[i + 1, np.dtype(dtype).name] = hashlib.sha256(blob).hexdigest()
+        assert digests == self.SPARSE_GOLDEN
 
     # sha256 of each raw-payload blob, recorded before NullCodec and CastCodec
     # shared one body
@@ -343,10 +392,166 @@ class TestQuantDecodeErrors:
         end = len(blob)
         assert _decode_error(blob + b"\x00\x07").offset == end
 
+    def test_block_too_large_for_u16_count_fails_before_grid(self):
+        # An 11-d shape of side 4 is one block of 4**11 values, which no u16
+        # count can match.  The header fails before anything sized by the
+        # shape is built: its grid alone would take 32 MiB.
+        shape = (4,) * 11
+        payload = struct.pack("<HqB", 0, 0, 0)
+        blob = b"".join((
+            struct.pack(f"<4sBBBB{len(shape)}I", b"ACKP", 1, 2, 0, len(shape), *shape),
+            struct.pack("<ddI", 1e-6, 1.5e-6, 1),
+            payload,
+            struct.pack("<I", zlib.crc32(payload)),
+        ))
+        tracemalloc.start()
+        try:
+            err = _decode_error(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.offset == 8 + 4 * len(shape) + 20
+        assert "grid expects 4194304" in err.reason
+        assert peak < 2**20
+
     def test_zero_padding_after_checksum_accepted(self):
         blob = _quant_blob_8x8()
         codec = codecs.QuantCodec(1e-6)
         assert np.array_equal(codec.decode(bytes(blob + b"\x00" * 9)), codec.decode(bytes(blob)))
+
+
+def _reference_quant_decode(blob):
+    """The quant decoder that checks one block header at a time, then unpacks
+    bits per (count, width) group of blocks.
+
+    ``QuantCodec.decode`` must match it field for field and, on a corrupt
+    blob, error offset for error offset.
+    """
+    C = codecs
+    dtype, shape, header_at = C._open_envelope(blob, C._ID_QUANT)
+    (tolerance, step, nblocks), payload_start = C._take("<ddI", blob, header_at)
+    if step != 1.5 * tolerance:
+        raise CodecDecodeError(header_at + 8, f"step {step!r} != 1.5 * tolerance {tolerance!r}")
+    grid_blocks = math.prod(-(-s // C._BLOCK) for s in shape)
+    if nblocks != grid_blocks:
+        raise CodecDecodeError(header_at + 16, f"{nblocks} blocks, the grid has {grid_blocks}")
+    if not grid_blocks:
+        raise CodecDecodeError(8, "shape has an axis of length 0")
+    at = []
+    pos, size = payload_start, len(blob)
+    reach = min(nblocks, (size - payload_start) // C._HEAD_BYTES + 1)
+    for expect in C._block_counts(shape, reach).tolist():
+        if pos + C._HEAD_BYTES > size:
+            raise CodecDecodeError(pos, "truncated blob")
+        count, nbits = blob[pos] | blob[pos + 1] << 8, blob[pos + 10]
+        if count != expect:
+            raise CodecDecodeError(pos, f"block holds {count} values, grid expects {expect}")
+        if nbits > 63:
+            raise CodecDecodeError(pos + 10, f"corrupt bit width {nbits}")
+        at.append(pos)
+        pos += C._HEAD_BYTES + (count * nbits + 7) // 8
+        if pos > size:
+            raise CodecDecodeError(at[-1] + C._HEAD_BYTES, "truncated blob")
+    grid = C._grid(shape)
+    C._check_crc(blob, payload_start, pos)
+    tail = blob[pos + 4 :]
+    if tail and any(tail):
+        raise CodecDecodeError(pos + 4, "trailing bytes after checksum")
+    buf = np.frombuffer(blob, dtype=np.uint8)
+    at = np.array(at, dtype=np.int64)
+    head = buf[at[:, None] + np.arange(C._HEAD_BYTES)].view(C._BLOCK_HEADER)[:, 0]
+    offsets = np.zeros((grid.perm.size, 8), dtype=np.uint8)
+    widths = head["nbits"].astype(np.int64)
+    keys = widths << 16 | grid.counts
+    for key in np.unique(keys[widths > 0]).tolist():
+        count, width, blocks = key & 0xFFFF, key >> 16, np.flatnonzero(keys == key)
+        nbytes = (count * width + 7) // 8
+        raw = buf[(at[blocks] + C._HEAD_BYTES)[:, None] + np.arange(nbytes)]
+        bits = np.unpackbits(raw, axis=-1, count=count * width, bitorder="little")
+        value_bytes = np.packbits(bits.reshape(-1, width), axis=-1, bitorder="little")
+        rows = grid.starts[blocks][:, None] + np.arange(count)
+        offsets[rows.ravel(), : value_bytes.shape[1]] = value_bytes
+    offsets = offsets.view("<u8")[:, 0].astype(np.int64)
+    flat = (np.repeat(head["base"], grid.counts) + offsets) * step
+    out = np.empty(grid.perm.size, dtype=np.float64)
+    out[grid.perm] = flat
+    return out.reshape(shape).astype(dtype)
+
+
+def _block_header_offsets(blob, ndim):
+    """Where each block header of a valid quant blob starts."""
+    pos, heads = 8 + 4 * ndim + 20, []
+    while pos < len(blob) - 4:
+        heads.append(pos)
+        pos += 11 + ((blob[pos] | blob[pos + 1] << 8) * blob[pos + 10] + 7) // 8
+    return heads
+
+
+def _decode_outcome(decode, blob):
+    """What decoding ``blob`` gives: the field, or where and why it failed."""
+    try:
+        y = decode(blob)
+    except CodecDecodeError as err:
+        return "error", err.offset, err.reason
+    return "field", y.dtype.name, y.shape, y.tobytes()
+
+
+class TestQuantDecodeParity:
+    def test_widths_57_to_63_decode(self):
+        # No encoder output has widths this large, yet they are legal and
+        # are where a value's bits spill past the 64-bit word read at its
+        # first byte.  Seven 16-value blocks of a 4x28 field, widths 57..63.
+        rng = np.random.default_rng(57)
+        payload = []
+        expected = np.empty((4, 28), dtype=np.int64)
+        for b, width in enumerate(range(57, 64)):
+            base = -(2**62) + b
+            offsets = [int(v) for v in rng.integers(0, 2**width, size=16, dtype=np.uint64)]
+            offsets[5] |= 1 << (width - 1)
+            bits = [v >> i & 1 for v in offsets for i in range(width)]
+            payload.append(struct.pack("<HqB", 16, base, width))
+            payload.append(np.packbits(np.array(bits, dtype=np.uint8), bitorder="little").tobytes())
+            expected[:, 4 * b : 4 * b + 4] = (base + np.array(offsets)).reshape(4, 4)
+        header = struct.pack("<ddI", 1.0, 1.5, 7)
+        blob = codecs._seal(codecs._ID_QUANT, expected.astype(float), header, b"".join(payload))
+        y = codecs.QuantCodec(1.0).decode(blob)
+        assert y.tobytes() == _reference_quant_decode(blob).tobytes()
+        assert np.array_equal(y, expected * 1.5)
+
+    def test_fuzzed_blobs_match_reference_decoder(self):
+        # truncations, single-bit flips and appended bytes of 1-3 d quant
+        # blobs, sparse and dense, float32 and float64
+        rng = np.random.default_rng(314)
+        codec = codecs.QuantCodec(1e-3)
+        checked = outcomes = 0
+        for case in range(60):
+            shape = tuple(rng.integers(1, 14, size=rng.integers(1, 4)).tolist())
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-2, 3)
+            if case % 2:
+                x *= rng.random(shape) < 0.1
+            x = x.astype(np.float32 if case % 3 == 0 else np.float64)
+            blob = codec.encode(x)[0]
+            variants = [blob, blob + bytes(rng.integers(1, 9))]
+            variants.append(blob + bytes([0, int(rng.integers(1, 256))]))
+            variants += [blob[: int(cut)] for cut in rng.integers(0, len(blob), size=3)]
+            # flips anywhere, then flips in a block header's count or width
+            bits = rng.integers(0, 8 * len(blob), size=4).tolist()
+            heads = _block_header_offsets(blob, x.ndim)
+            for _ in range(3):
+                at = heads[rng.integers(len(heads))] + int(rng.choice([0, 1, 10]))
+                bits.append(8 * at + int(rng.integers(8)))
+            for bit in bits:
+                flipped = bytearray(blob)
+                flipped[bit // 8] ^= 1 << bit % 8
+                variants.append(bytes(flipped))
+            for v in variants:
+                want = _decode_outcome(_reference_quant_decode, v)
+                assert _decode_outcome(codec.decode, v) == want, (case, len(v))
+                checked += 1
+                outcomes += want[0] == "error"
+        assert checked >= 700
+        # the mutations must reach the decoder's checks, not only its happy path
+        assert 0.5 * checked < outcomes < checked
 
 
 class TestProfile:
