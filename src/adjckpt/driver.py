@@ -137,6 +137,18 @@ def homogeneous_params(
     )
 
 
+def _aligned_empty(size: int) -> np.ndarray:
+    """An uninitialised float64 vector whose data starts on a 64-byte boundary.
+
+    The stencil sweeps its workspace about a quarter slower when the
+    workspace sits off a cache line, so where malloc happens to put it
+    would otherwise move the step time.
+    """
+    raw = np.empty(size + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + size]
+
+
 class _WaveKernel:
     """Forward and adjoint stencil of one ``WaveParams``, with its own workspace.
 
@@ -185,9 +197,9 @@ class _WaveKernel:
         self.receivers = tuple(
             np.array(params.receivers, dtype=np.intp).reshape(-1, len(shape)).T
         )
-        self._a = np.empty(hi - lo)
-        self._b = np.empty(hi - lo)
-        self._grid = np.empty(math.prod(shape))
+        self._a = _aligned_empty(hi - lo)
+        self._b = _aligned_empty(hi - lo)
+        self._grid = _aligned_empty(math.prod(shape))
 
     def _laplacian(self, u: np.ndarray) -> np.ndarray:
         """lap(u) on the band of flat ``u``, in the first scratch array."""

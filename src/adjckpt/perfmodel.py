@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InfeasibleConfigurationError, InvalidArgumentError
-from .schedule import recompute_count, schedule_counts
+from .schedule import ScheduleStats, recompute_count, schedule_counts
 
 __all__ = [
     "PerfParams",
@@ -112,9 +112,8 @@ def recompute_overhead(p: PerfParams, m: int) -> float:
     return recompute_count(p.nsteps, m) * p.step_cost
 
 
-def _storage(p: PerfParams, m: int, compressed: bool) -> tuple[float, float, float]:
+def _storage(p: PerfParams, counts: ScheduleStats, compressed: bool) -> tuple[float, float, float]:
     """(copy, encode, decode) seconds for the generated schedule's writes and reads."""
-    counts = schedule_counts(p.nsteps, m)
     w, r = counts.writes, counts.reads
     if not compressed:
         return (w + r) * p.state_bytes / p.bandwidth, 0.0, 0.0
@@ -123,11 +122,11 @@ def _storage(p: PerfParams, m: int, compressed: bool) -> tuple[float, float, flo
 
 
 def storage_overhead_plain(p: PerfParams, m: int) -> float:
-    return sum(_storage(p, m, compressed=False))
+    return sum(_storage(p, schedule_counts(p.nsteps, m), compressed=False))
 
 
 def storage_overhead_compressed(p: PerfParams, m_compressed: int) -> float:
-    return sum(_storage(p, m_compressed, compressed=True))
+    return sum(_storage(p, schedule_counts(p.nsteps, m_compressed), compressed=True))
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,10 @@ class CostBreakdown:
 
 
 def _breakdown(p: PerfParams, m: int, compressed: bool) -> CostBreakdown:
+    counts = schedule_counts(p.nsteps, m)  # one count of the schedule prices every term
     sweep_s = p.step_cost * p.nsteps
-    return CostBreakdown(sweep_s, sweep_s, recompute_overhead(p, m), *_storage(p, m, compressed))
+    recompute = counts.recompute_steps * p.step_cost
+    return CostBreakdown(sweep_s, sweep_s, recompute, *_storage(p, counts, compressed))
 
 
 def predict(p: PerfParams, m_plain: int, m_comb: int) -> tuple[CostBreakdown, CostBreakdown]:

@@ -9,11 +9,12 @@ the recurrence
     p(n, m) = 0                                             for m >= n
     p(n, m) = min over 1 <= k <= n-1 of k + p(k, m) + p(n-k, m-1)
 
-It does not relax that recurrence: each row p(., m) is built in O(n) from
-the binomial level structure of its first differences (see "Rows" below).
-That structure equals the recurrence on the grid the tests check; it is not
-proven.  ``generate_schedule`` expands the argmin tree of the recurrence into
-a concrete action stream.  The stream drives a small register machine:
+It neither relaxes that recurrence nor builds a row p(., m): the count and
+the argmin split are both read off the binomial level structure of a row's
+first differences, in Python ints (see "Levels" below).  That structure and
+the split window equal the recurrence on the grid the tests check; they are
+not proven.  ``generate_schedule`` expands the argmin tree of the recurrence
+into a concrete action stream.  The stream drives a small register machine:
 
   * ``cur``    the live primal state (one step index),
   * ``upper``  the state one step above ``cur``, produced either by a
@@ -47,12 +48,11 @@ are reproducible byte for byte.
 
 from __future__ import annotations
 
-import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, fields
+from math import comb
 from typing import Iterable, Union
-
-import numpy as np
 
 from .errors import AdjCkptError, ExecutionError, InvalidArgumentError, ScheduleValidationError
 
@@ -130,68 +130,117 @@ def _check_args(n: int, m: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rows
+# Levels
 #
-# Row m holds p(n, m) for every n up to the largest query seen so far, cached
-# per slot count.  Row 1 is the closed form n(n-1)/2.  For m >= 2 the row is
-# the running sum of its first differences d(n) = p(n, m) - p(n-1, m), which
+# Row 1 is the closed form p(n, 1) = n(n-1)/2.  For m >= 2, p(n, m) = 0 for
+# n <= m, and the first differences d(n) = p(n, m) - p(n-1, m) after that
 # fall into levels r = 1, 2, ...:
 #
-#   * p(n, m) = 0 for n <= m.  Level r covers B(m, r-1) < n <= B(m, r), where
+#   * Level r covers B(m, r-1) < n <= B(m, r), where B(m, -1) = 0,
 #     B(m, 0) = m and B(m, r) = C(m+r, r+1) + C(m+r-1, r-1), so it is
-#     B(m-1, r) entries long, and each d(n) in it is r or r+1.
-#   * Level r opens with C(m+r-3, r-2) differences equal to r (none at r = 1).
-#   * Then come blocks, each one r+1 followed by g-1 r's: for g = m-1 down to
-#     3, C(r-1+j, j) blocks of length g, where j = m-1-g; blocks of length 2
-#     fill the rest of the level.
+#     B(m-1, r) entries long.  Each d(n) in it is r, or r+1 at a *start*.
+#   * Level r opens with C(m+r-3, r-2) non-starts (none at r = 1).
+#   * Then come blocks, each a start followed by g-1 non-starts: for g = m-1
+#     down to 3, C(r-1+j, j) blocks of length g, where j = m-1-g; blocks of
+#     length 2 fill the rest of the level.
 #
-# This structure is checked against the recurrence itself (every m <= 120 at
-# n <= 1500, m <= 6 at n <= 6000, and far-out entries; tests/test_schedule.py),
-# not proven.  Rows do not depend on each other, so only asked-for rows are
-# built, each in O(n) however large m is.  The near-full zone
-# p(n, m) = n - m + 1 for m < n <= 2m - 1 (provable from the recurrence)
-# lets ``recompute_count`` and ``_split`` answer such queries without a row.
-# Entries are at most p(n, 1) = n(n-1)/2, which stays below 2**60 up to
-# ``_MAX_ROW_N`` steps; longer rows are refused.
+# Row 1 fits the same picture with single-entry levels (B(1, r) = r + 1) and
+# no starts.  So p(n, m) is the sum over levels q up to n's of q times the
+# entries of level q up to n, plus the starts among them; ``recompute_count``
+# adds that up in Python ints and builds no row.
+#
+# The split.  For n in level r of row m and n > 2m - 1, the smallest argmin
+# k of k + p(k, m) + p(n-k, m-1) lies in the window
+#
+#     K = [max(1, B(m, r-2), n - B(m-1, r) - 1), min(B(m, r-1), n - B(m-1, r-1))]
+#
+# On K, k lies in level r-1 of row m and n-k in level r of row m-1, or at
+# B(m-1, r) + 1, whose difference r+1 counts as a start.  The slopes cancel
+# (1 + (r-1) - r = 0), so on K the sum is a constant plus the row-m starts
+# up to k plus the row-(m-1) starts up to n-k.  It drops only where n-k
+# passes a start s, at k = n-s+1, so ``_split`` walks those candidates up
+# from the low end of K and keeps the first strict minimum.  Starts are
+# listed group by group, and whole groups outside K are skipped.
+#
+# tests/test_schedule.py checks the level structure against the relaxed
+# recurrence (every m <= 120 at n <= 1500, m <= 6 at n <= 6000, and far-out
+# entries), and the count and the split against row-based oracles (every
+# m <= 40 at n <= 800, m <= 8 at n <= 3000, and seeded points up to m = 300,
+# n = 60000); neither the structure nor the window is proven.  The near-full
+# zone p(n, m) = n - m + 1 for m < n <= 2m - 1 (provable from the
+# recurrence) answers such queries without a level.  Step counts past
+# ``_MAX_STEPS``, the limit the int64 rows had, stay refused: the write tree
+# ``schedule_counts`` walks can have nearly as many splits as steps.
 # ---------------------------------------------------------------------------
 
-_ROWS: dict[int, np.ndarray] = {}
-_MAX_ROW_N = 1_518_500_250  # the largest n with n(n-1)/2 < 2**60
+_MAX_STEPS = 1_518_500_250  # the largest n with n(n-1)/2 < 2**60
 
 
-def _build_row(m: int, nmax: int) -> np.ndarray:
-    if m == 1:
-        n = np.arange(nmax + 1, dtype=np.int64)
-        return n * (n - 1) // 2
-    d = np.zeros(nmax + 1, dtype=np.int64)
-    lo, r = m + 1, 1
-    while lo <= nmax:
-        # Binomials can outgrow int64, so every index is clipped to the level.
-        hi = min(lo + math.comb(m + r - 1, r + 1) + math.comb(m + r - 2, r - 1), nmax + 1)
-        d[lo:hi] = r
-        at = min(lo + (math.comb(m + r - 3, r - 2) if r > 1 else 0), hi)
-        blocks = 1
-        for j, g in enumerate(range(m - 1, 2, -1)):
-            if at >= hi:
-                break
-            if j:
-                blocks = blocks * (r - 1 + j) // j  # C(r-1+j, j) from C(r-2+j, j-1)
-            end = min(at + blocks * g, hi)
-            d[at:end:g] = r + 1
-            at = end
-        d[at:hi:2] = r + 1
-        lo, r = hi, r + 1
-    return np.cumsum(d, out=d)
+def _edge(m: int, r: int) -> int:
+    """B(m, r), the last n of level r in row m."""
+    if r < 1:
+        return m if r == 0 else 0
+    return comb(m + r, r + 1) + comb(m + r - 1, r - 1)
 
 
-def _row(m: int, nmax: int) -> np.ndarray:
-    """Row m of p, at least nmax + 1 entries long."""
-    row = _ROWS.get(m)
-    if row is None or row.size <= nmax:
-        if nmax > _MAX_ROW_N:
-            raise InvalidArgumentError(f"{nmax} steps need DP rows past their limit of {_MAX_ROW_N} steps")
-        row = _ROWS[m] = _build_row(m, nmax)
-    return row
+def _level(m: int, n: int) -> int:
+    """The level r >= 1 of row m that holds n > m."""
+    if n > _MAX_STEPS:
+        raise InvalidArgumentError(f"{n} steps are past the planner's limit of {_MAX_STEPS} steps")
+    hi = 1
+    while _edge(m, hi) < n:
+        hi *= 2
+    lo = hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _edge(m, mid) < n:
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
+
+
+def _starts_within(m: int, q: int, t: int) -> int:
+    """How many of the first t entries of level q >= 1 of row m >= 2 are starts."""
+    if q > 1:
+        t -= comb(m + q - 3, q - 2)
+    if t <= 0:
+        return 0
+    starts, blocks = 0, 1
+    for j, g in enumerate(range(m - 1, 2, -1)):
+        if j:
+            blocks = blocks * (q - 1 + j) // j  # C(q-1+j, j) from C(q-2+j, j-1)
+        if t <= blocks * g:
+            return starts - (-t // g)
+        starts += blocks
+        t -= blocks * g
+    return starts - (-t // 2)
+
+
+def _starts(m: int, q: int, a: int, b: int) -> list[int]:
+    """The starts of level q of row m that lie in a..b, ascending.
+
+    It walks the groups ``_starts_within`` counts, one block length at a
+    time, and lists only the blocks that begin in a..b.
+    """
+    if m == 1 or q < 1:
+        return []
+    at = _edge(m, q - 1) + 1 + (comb(m + q - 3, q - 2) if q > 1 else 0)
+    b = min(b, _edge(m, q))
+    out: list[int] = []
+    blocks = 1
+    for j, g in enumerate(range(m - 1, 2, -1)):
+        if at > b:
+            return out
+        if j:
+            blocks = blocks * (q - 1 + j) // j
+        stop = at + blocks * g
+        if stop > a:
+            first = max(at, at - (at - a) // g * g)  # the first block start >= a
+            out.extend(range(first, min(stop - 1, b) + 1, g))
+        at = stop
+    out.extend(range(max(at, at - (at - a) // 2 * 2), b + 1, 2))  # the length-2 blocks
+    return out
 
 
 def recompute_count(n: int, m: int) -> int:
@@ -208,17 +257,35 @@ def recompute_count(n: int, m: int) -> int:
         return n * (n - 1) // 2
     if n <= 2 * m - 1:
         return n - m + 1
-    return int(_row(m, n)[n])
+    total, lo = 0, m
+    for q in range(1, _level(m, n) + 1):
+        hi = min(_edge(m, q), n)
+        total += q * (hi - lo) + _starts_within(m, q, hi - lo)
+        lo = hi
+    return total
 
 
 def _split(n: int, m: int) -> int:
     """Smallest k minimizing k + p(k, m) + p(n-k, m-1); only for 1 < m < n."""
     if n <= 2 * m - 1:
         return 1 if m == 2 else n - m + 1
-    row, prev = _row(m, n), _row(m - 1, n)
-    ks = np.arange(1, n, dtype=np.int64)
-    cand = ks + row[1:n] + prev[n - 1 : 0 : -1]
-    return int(np.argmin(cand)) + 1
+    r = _level(m, n)
+    top = _edge(m - 1, r)
+    lo = max(1, _edge(m, r - 2), n - top - 1)
+    hi = min(_edge(m, r - 1), n - _edge(m - 1, r - 1))
+    # Relative to k = lo, the sum rises by one at each k in ``ups`` and drops
+    # by one at k = n - s + 1 for each s in ``downs``.
+    ups = _starts(m, r - 1, lo + 1, hi)
+    downs = _starts(m - 1, r, n - hi + 1, n - lo)
+    if n - lo == top + 1:
+        downs.append(top + 1)  # the first entry of level r + 1 counts as a start
+    best, k_best = 0, lo
+    for drops, s in enumerate(reversed(downs), 1):
+        k = n - s + 1
+        f = bisect_right(ups, k) - drops
+        if f < best:
+            best, k_best = f, k
+    return k_best
 
 
 # ---------------------------------------------------------------------------

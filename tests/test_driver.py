@@ -224,6 +224,13 @@ class TestWaveKernel:
             fresh = driver.WaveStepper(params, d_obs).adjoint(adjs[k], states[i], states[i + 1], i)
             assert np.array_equal(adjs[k + 1].lam, fresh.lam)
 
+    @pytest.mark.parametrize("shape", [(61,), (48, 40), (200, 200)])
+    def test_workspace_is_cache_line_aligned(self, shape):
+        kernel = driver.WaveStepper(driver.homogeneous_params(shape, nt=4))._kernel
+        for scratch in (kernel._a, kernel._b, kernel._grid):
+            assert scratch.ctypes.data % 64 == 0
+            assert scratch.flags.c_contiguous
+
     def test_steps_allocate_only_their_outputs(self):
         # the workspace is the stepper's: one step allocates its fresh
         # outputs and little else (evaluating the plain formulas with fresh

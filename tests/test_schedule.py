@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -60,6 +61,67 @@ def relaxed_rows(mmax, nmax):
     return rows
 
 
+def build_row(m, nmax):
+    """Row m of p up to nmax, written level by level with numpy.
+
+    The oracle for ``recompute_count`` and ``split_oracle``; ``relaxed_rows``
+    checks it in turn.
+    """
+    if m == 1:
+        n = np.arange(nmax + 1, dtype=np.int64)
+        return n * (n - 1) // 2
+    d = np.zeros(nmax + 1, dtype=np.int64)
+    lo, r = m + 1, 1
+    while lo <= nmax:
+        # Binomials can outgrow int64, so every index is clipped to the level.
+        hi = min(lo + math.comb(m + r - 1, r + 1) + math.comb(m + r - 2, r - 1), nmax + 1)
+        d[lo:hi] = r
+        at = min(lo + (math.comb(m + r - 3, r - 2) if r > 1 else 0), hi)
+        blocks = 1
+        for j, g in enumerate(range(m - 1, 2, -1)):
+            if at >= hi:
+                break
+            if j:
+                blocks = blocks * (r - 1 + j) // j  # C(r-1+j, j) from C(r-2+j, j-1)
+            end = min(at + blocks * g, hi)
+            d[at:end:g] = r + 1
+            at = end
+        d[at:hi:2] = r + 1
+        lo, r = hi, r + 1
+    return np.cumsum(d, out=d)
+
+
+_ORACLE_ROWS = {}
+
+
+def oracle_row(m, nmax):
+    """Row m of p, at least nmax + 1 entries long; grown by doubling."""
+    row = _ORACLE_ROWS.get(m)
+    if row is None or row.size <= nmax:
+        row = _ORACLE_ROWS[m] = build_row(m, max(nmax, 2 * (row.size if row is not None else 0)))
+    return row
+
+
+def split_oracle(n, m):
+    """Smallest k minimizing k + p(k, m) + p(n-k, m-1), by argmin over a row."""
+    if n <= 2 * m - 1:
+        return 1 if m == 2 else n - m + 1
+    row, prev = oracle_row(m, n), oracle_row(m - 1, n)
+    ks = np.arange(1, n, dtype=np.int64)
+    cand = ks + row[1:n] + prev[n - 1 : 0 : -1]
+    return int(np.argmin(cand)) + 1
+
+
+def oracle_points():
+    """(n, m) with 1 < m < n: every m <= 40 at n <= 800, every m <= 8 at
+    n <= 3000, and 200 seeded points up to m = 300, n = 60000."""
+    grid = [(n, m) for m in range(2, 41) for n in range(m + 1, 801)]
+    grid += [(n, m) for m in range(2, 9) for n in range(801, 3001)]
+    rng = np.random.default_rng(17)
+    ms = rng.integers(2, 301, size=200)
+    return grid + [(int(rng.integers(m + 1, 60001)), int(m)) for m in ms]
+
+
 def machine_oracle(n, m):
     """Fewest replayed steps of any stream the register machine accepts.
 
@@ -105,7 +167,7 @@ class TestRecomputeCount:
     def test_step_counts_past_the_rows_rejected(self):
         with pytest.raises(InvalidArgumentError):
             sched.recompute_count(2**31, 8)
-        # queries that need no rows still answer
+        # queries with a closed form still answer
         assert sched.recompute_count(2**31, 1) == 2**31 * (2**31 - 1) // 2
         assert sched.recompute_count(2**31, 2**31) == 0
         assert sched.recompute_count(2**31, 2**30 + 1) == 2**30
@@ -161,19 +223,24 @@ class TestRecomputeCount:
     def test_rows_match_the_relaxed_recurrence(self, mmax, nmax):
         oracle = relaxed_rows(mmax, nmax)
         for m in range(1, mmax + 1):
-            np.testing.assert_array_equal(sched._build_row(m, nmax), oracle[m], err_msg=f"m={m}")
+            np.testing.assert_array_equal(build_row(m, nmax), oracle[m], err_msg=f"m={m}")
 
     def test_rows_satisfy_the_recurrence_far_out(self):
         rng = np.random.default_rng(13)
         nmax = 10**6
         ms = rng.integers(2, 11, size=100)
-        prev = sched._build_row(1, nmax)
+        prev = build_row(1, nmax)
         for m in range(2, 11):
-            row = sched._build_row(m, nmax)
+            row = build_row(m, nmax)
             for n in rng.integers(m + 1, nmax + 1, size=int((ms == m).sum())):
                 ks = np.arange(1, n)
                 assert row[n] == (ks + row[1:n] + prev[n - 1 : 0 : -1]).min(), (n, m)
+                assert sched.recompute_count(int(n), m) == row[n], (n, m)
             prev = row
+
+    def test_count_matches_the_row_oracle(self):
+        for n, m in oracle_points():
+            assert sched.recompute_count(n, m) == oracle_row(m, n)[n], (n, m)
 
     def test_monotonicity(self):
         for n in range(2, 120):
@@ -189,7 +256,22 @@ class TestRecomputeCount:
         assert (p == 0) == (m >= n)
 
 
+class TestSplit:
+    def test_split_matches_the_row_oracle(self):
+        for n, m in oracle_points():
+            assert sched._split(n, m) == split_oracle(n, m), (n, m)
+
+
 class TestScheduleCounts:
+    def test_far_out_counts(self):
+        assert sched.schedule_counts(10**6, 2) == sched.ScheduleStats(941809244, 1414, 999999, 2)
+        assert sched.schedule_counts(10**6, 3) == sched.ScheduleStats(134786924, 16471, 999999, 3)
+
+    def test_stats_match_counts_at_every_slot_count(self):
+        for m in range(1, 201):
+            acts = sched.generate_schedule(200, m)
+            assert sched.schedule_stats(acts, 200, m) == sched.schedule_counts(200, m), m
+
     def test_long_two_slot_chain(self, monkeypatch):
         # 199 splits keep both slots; the count must not recurse once per split
         monkeypatch.setattr(sched, "_WRITES", {})
@@ -260,7 +342,15 @@ class TestGenerateSchedule:
         "n,m,digest",
         [
             (200, 3, "93cadf735ae4c08c86fae627f74ec7fae854586392129127879a78c0b11f3478"),
+            # the slot counts the wave2d-quant benchmark runs at
+            (200, 35, "d21e337273643a2b3ea0d8831574ef766d12a75afefbdbf9de68973403652737"),
+            (200, 36, "990f18dcfc6571b1755d38fc3d41d3bcd6a9e33e2ead91237c3addbffeb950ed"),
+            (200, 37, "3850db073fa1cc1297366bd0506950821d0bf31cfb287d756f443e59f9ed6134"),
+            (200, 38, "4b9f00568b24285c08b52669fd5e1a4bd5795c8fe0da6a5450d8004adc32eb9e"),
+            (200, 39, "92649081bfc65d5cec39c2c5f6e2b8a902db5aea29240bb1a2390d22d7bd88b0"),
+            (200, 40, "19e8740c0da81d0845d1680ab5f7a7fef190e8155c86dd28827ec0af88a4f424"),
             (200, 41, "aeaa0047a5d5b992af7a79d64d0ba15826b45816d2ea994406efc3622195db58"),
+            (200, 42, "d2244a587ecac4a39ff2f0a5c39e6327f5a91882f6585babfcc9bf4842e2f59a"),
             (2500, 56, "80dc0ccd2e8d30ad03c93d9a3dbc9ed8fd5e08238a1950c072dabb7932829f97"),
         ],
     )
