@@ -427,11 +427,18 @@ def get_codec(name: str, tolerance: float | None = None) -> Codec:
 
 
 def profile(codec: Codec, field: np.ndarray, repetitions: int = 5) -> CodecStats:
-    """Average encode/decode timings over ``repetitions`` round trips."""
+    """Average encode/decode timings over ``repetitions`` round trips.
+
+    An untimed round trip comes first, and only its blob is kept.  Keeping
+    every blob, or timing the first call, would make each timed round trip
+    fault in fresh pages, which a checkpoint sweep's recycled memory does
+    not: that read cast decode at about twice its in-sweep time.
+    """
     if repetitions < 1:
         raise InvalidArgumentError("repetitions must be >= 1")
     arr = _require_field(field)
-    blobs = []
+    first = codec.encode(arr)[0]
+    codec.decode(first)
     t_enc = t_dec = 0.0
     stats = None
     for _ in range(repetitions):
@@ -441,8 +448,7 @@ def profile(codec: Codec, field: np.ndarray, repetitions: int = 5) -> CodecStats
         t0 = time.perf_counter()
         out = codec.decode(blob)
         t_dec += time.perf_counter() - t0
-        blobs.append(blob)
-    if any(b != blobs[0] for b in blobs[1:]):
-        raise CodecError("codec produced non-deterministic bytes across repetitions")
+        if blob != first:
+            raise CodecError("codec produced non-deterministic bytes across repetitions")
     err = float(np.abs(arr.astype(np.float64) - out.astype(np.float64)).max(initial=0.0))
     return replace(stats, t_c=t_enc / repetitions, t_d=t_dec / repetitions, max_abs_error=err)

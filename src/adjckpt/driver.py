@@ -21,8 +21,9 @@ reports; any store or codec failure comes back from ``run_schedule`` as an
 ``ExecutionError`` naming the action's index and text form.
 
 ``calibrate`` is the one place that turns measurements into the cost
-model's ``PerfParams``: one timed forward sweep for the step cost, and
-codec profiles on its final state for bandwidth, ratio and codec times.
+model's ``PerfParams``: one timed forward sweep for the step cost, the
+store's raw copy of its final state for the bandwidth, and the codec's
+profile on that state for the ratio and codec times.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ def reference_adjoint(stepper: Stepper):
 # Forward steps left out of the calibrated step cost: they pay one-time
 # allocation and cache-warming costs that no later step sees.
 _CALIBRATION_WARMUP = 4
-# Round trips each codec is timed over in ``calibrate``.
+# Codec round trips, and raw store copies, that ``calibrate`` times.
 _CALIBRATION_REPS = 5
 
 
@@ -378,10 +379,12 @@ def calibrate(
     """Cost-model parameters of ``stepper`` and ``codec``, measured, plus states.
 
     The step cost is the median seconds per forward step over one forward
-    sweep, warm-up left out.  The null codec's and ``codec``'s profiles on
-    the final state give the copy bandwidth and the ratio and codec times;
-    ``memory_bytes`` is passed through.  The states are the initial one,
-    samples every quarter of the sweep and the final one, last.
+    sweep, warm-up left out.  The copy bandwidth comes from the median time
+    of a ``NullCodec`` put of the final state, the read-only copy the store
+    keeps of a raw checkpoint; ``codec``'s profile on that state gives the
+    ratio and codec times.  ``memory_bytes`` is passed through.  The states
+    are the initial one, samples every quarter of the sweep and the final
+    one, last.
     """
     state = stepper.initial_state()
     samples = [state]
@@ -394,13 +397,18 @@ def calibrate(
             samples.append(state)
     samples.append(state)
     good = times[_CALIBRATION_WARMUP:] if len(times) > _CALIBRATION_WARMUP else times
-    null = profile(NullCodec(), state, repetitions=_CALIBRATION_REPS)
+    raw, null = CheckpointStore(state.nbytes), NullCodec()
+    copies = []
+    for _ in range(_CALIBRATION_REPS):
+        t0 = time.perf_counter()
+        raw.put(0, 0, state, null, overwrite=True)
+        copies.append(time.perf_counter() - t0)
     comp = profile(codec, state, repetitions=_CALIBRATION_REPS)
     params = PerfParams(
         step_cost=float(np.median(good)),
         nsteps=stepper.nsteps,
         state_bytes=state.nbytes,
-        bandwidth=state.nbytes / max(null.t_c, 1e-9),
+        bandwidth=state.nbytes / max(float(np.median(copies)), 1e-9),
         memory_bytes=memory_bytes,
         ratio=comp.ratio,
         compress_time=comp.t_c,

@@ -3,6 +3,11 @@
 The store is deliberately dumb: it never evicts, the schedule decides every
 lifetime.  It enforces the byte budget the performance model reasons about,
 so an over-budget put fails loudly instead of silently dropping data.
+
+Raw checkpoints stay arrays: a ``NullCodec`` put keeps a read-only copy of
+the state, which ``get`` hands back as it is, with no envelope and no
+checksum.  Only the other codecs' checkpoints are blobs, made by ``encode``
+and checked by ``decode``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codecs import Codec, CodecStats
+from .codecs import Codec, CodecStats, NullCodec
 from .errors import CapacityError, InvalidArgumentError, MissingCheckpointError
 
 __all__ = ["CheckpointStore"]
@@ -27,17 +32,19 @@ class StoreCounters:
 
 
 class CheckpointStore:
-    """Holds encoded states in numbered slots under a hard byte budget.
+    """Holds checkpoints in numbered slots under a hard byte budget.
 
-    A slot holds its step and its blob; the blob envelope already
-    self-describes.  ``bytes_used`` is the sum of the stored blob lengths.
+    A slot holds its step, its checkpoint and the checkpoint's size.  A
+    ``NullCodec`` checkpoint is a C-contiguous, read-only copy of the state
+    and its size is ``nbytes``; any other codec's is the encoded blob and
+    its size is the blob's length.  ``bytes_used`` is the sum of the sizes.
     """
 
     def __init__(self, budget_bytes: int | float):
         if not 0 < budget_bytes < math.inf:
             raise InvalidArgumentError(f"budget must be positive and finite, got {budget_bytes}")
         self.budget_bytes = budget_bytes
-        self._slots: dict[int, tuple[int, bytes]] = {}
+        self._slots: dict[int, tuple[int, np.ndarray | bytes, int]] = {}
         self._bytes_used = 0
         self.counters = StoreCounters()
 
@@ -56,29 +63,37 @@ class CheckpointStore:
         old = self._slots.get(slot)
         if old is not None and not overwrite:
             raise InvalidArgumentError(f"slot {slot} occupied; pass overwrite=True to replace")
-        blob, stats = codec.encode(fieldval)
-        freed = len(old[1]) if old is not None else 0
+        if isinstance(codec, NullCodec):
+            data = np.array(fieldval, order="C")
+            data.setflags(write=False)
+            size = data.nbytes
+            stats = CodecStats(size, size, 1.0, 0.0, 0.0, 0.0)
+        else:
+            data, stats = codec.encode(fieldval)
+            size = len(data)
+        freed = old[2] if old is not None else 0
         available = self.budget_bytes - (self._bytes_used - freed)
-        if len(blob) > available:
-            raise CapacityError(required=len(blob), available=int(available))
-        self._slots[slot] = (step, blob)
-        self._bytes_used += len(blob) - freed
+        if size > available:
+            raise CapacityError(required=size, available=int(available))
+        self._slots[slot] = (step, data, size)
+        self._bytes_used += size - freed
         self.counters.puts += 1
-        self.counters.bytes_written += len(blob)
+        self.counters.bytes_written += size
         return stats
 
     def get(self, slot: int, codec: Codec) -> tuple[int, np.ndarray]:
+        """The slot's step and state; a raw state comes back as the stored read-only array."""
         rec = self._slots.get(slot)
         if rec is None:
             raise MissingCheckpointError(f"slot {slot} is empty")
-        step, blob = rec
-        fieldval = codec.decode(blob)
+        step, data, size = rec
+        fieldval = data if isinstance(data, np.ndarray) else codec.decode(data)
         self.counters.gets += 1
-        self.counters.bytes_read += len(blob)
+        self.counters.bytes_read += size
         return step, fieldval
 
     def free(self, slot: int) -> None:
         rec = self._slots.pop(slot, None)
         if rec is None:
             raise MissingCheckpointError(f"slot {slot} is empty")
-        self._bytes_used -= len(rec[1])
+        self._bytes_used -= rec[2]

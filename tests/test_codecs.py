@@ -561,6 +561,20 @@ class TestProfile:
         assert stats.t_c > 0 and stats.t_d > 0
         assert stats.max_abs_error <= 1e-5
 
+    def test_non_deterministic_bytes_raise(self):
+        class Drifting:
+            calls = 0
+
+            def encode(self, field):
+                self.calls += 1
+                return codecs.NullCodec().encode(field + self.calls)
+
+            def decode(self, blob):
+                return codecs.NullCodec().decode(blob)
+
+        with pytest.raises(CodecError):
+            codecs.profile(Drifting(), np.zeros(8), repetitions=1)
+
     def test_get_codec_dispatch(self):
         assert isinstance(codecs.get_codec("null"), codecs.NullCodec)
         assert isinstance(codecs.get_codec("cast"), codecs.CastCodec)

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjckpt import codecs
-from adjckpt.errors import CapacityError, InvalidArgumentError, MissingCheckpointError
+from adjckpt.errors import (
+    CapacityError,
+    CodecDecodeError,
+    InvalidArgumentError,
+    MissingCheckpointError,
+)
 from adjckpt.store import CheckpointStore
 
 
@@ -56,7 +61,7 @@ class TestBasics:
 
     def test_free_releases_budget(self, state):
         codec = codecs.NullCodec()
-        size = blob_bytes(state, codec)
+        size = state.nbytes
         store = CheckpointStore(budget_bytes=size)
         store.put(0, 0, state, codec)
         assert store.bytes_used == size
@@ -91,6 +96,91 @@ class TestBasics:
             store.put(0, 0, state, raw)
         for slot in range(3):
             store.put(slot, slot, state, quant)
+
+
+class TestRawCheckpoints:
+    """A null put keeps a read-only array; every other codec keeps its blob."""
+
+    def test_caller_mutation_does_not_reach_the_slot(self, state):
+        store = CheckpointStore(budget_bytes=state.nbytes)
+        fieldval = state.copy()
+        store.put(0, 0, fieldval, codecs.NullCodec())
+        fieldval[...] = 0.0
+        assert np.array_equal(store.get(0, codecs.NullCodec())[1], state)
+
+    def test_get_is_read_only(self, state):
+        store = CheckpointStore(budget_bytes=state.nbytes)
+        store.put(0, 0, state, codecs.NullCodec())
+        _, out = store.get(0, codecs.NullCodec())
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0, 0, 0] = 1.0
+        assert np.array_equal(store.get(0, codecs.NullCodec())[1], state)
+
+    def test_strided_state_is_kept_c_contiguous(self, state):
+        view = state.transpose(0, 2, 1)
+        store = CheckpointStore(budget_bytes=state.nbytes)
+        store.put(0, 0, view, codecs.NullCodec())
+        _, out = store.get(0, codecs.NullCodec())
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, view)
+
+    def test_put_counts_nbytes(self, state):
+        codec = codecs.NullCodec()
+        with pytest.raises(CapacityError) as err:
+            CheckpointStore(budget_bytes=state.nbytes - 1).put(0, 0, state, codec)
+        assert err.value.required == state.nbytes
+        store = CheckpointStore(budget_bytes=state.nbytes)
+        stats = store.put(0, 0, state, codec)
+        assert (stats.input_bytes, stats.output_bytes) == (state.nbytes, state.nbytes)
+        assert stats.ratio == 1.0
+        store.get(0, codec)
+        assert store.bytes_used == state.nbytes
+        assert store.counters.bytes_written == store.counters.bytes_read == state.nbytes
+
+    @pytest.mark.parametrize(
+        "codec", [codecs.QuantCodec(1e-3), codecs.CastCodec()], ids=["quant", "cast"]
+    )
+    def test_other_codecs_store_the_blob(self, state, codec):
+        blob = codec.encode(state)[0]
+        store = CheckpointStore(budget_bytes=len(blob))
+        store.put(0, 0, state, codec)
+        assert store.bytes_used == len(blob)
+        _, out = store.get(0, codec)
+        assert out.flags.writeable
+        assert np.array_equal(out, codec.decode(blob))
+        assert store.counters.bytes_written == store.counters.bytes_read == len(blob)
+
+    def test_a_codec_named_null_is_still_encoded(self, state):
+        # the raw path is for NullCodec instances, not for wrappers that copy its name
+        class Wrapped:
+            name = "null"
+            encoded = 0
+
+            def encode(self, fieldval):
+                self.encoded += 1
+                return codecs.NullCodec().encode(fieldval)
+
+            def decode(self, blob):
+                return codecs.NullCodec().decode(blob)
+
+        codec = Wrapped()
+        blob = codecs.NullCodec().encode(state)[0]
+        store = CheckpointStore(budget_bytes=len(blob))
+        store.put(0, 0, state, codec)
+        assert codec.encoded == 1
+        assert store.bytes_used == len(blob)
+        assert np.array_equal(store.get(0, codec)[1], state)
+
+    def test_decode_still_checks_the_envelope(self, state):
+        codec = codecs.NullCodec()
+        blob = codec.encode(state)[0]
+        with pytest.raises(CodecDecodeError):
+            codec.decode(blob[:-5])
+        flipped = bytearray(blob)
+        flipped[len(blob) // 2] ^= 0x10
+        with pytest.raises(CodecDecodeError):
+            codec.decode(bytes(flipped))
 
 
 class _FixedSizeCodec:
@@ -151,13 +241,13 @@ def test_slot_count_matches_model_slots():
 def test_budget_never_exceeded_under_random_traffic(ops):
     codec = codecs.NullCodec()
     fields = {size: np.arange(size, dtype=float) for size in (64, 24)}
-    store = CheckpointStore(budget_bytes=int(3.5 * blob_bytes(fields[64], codec)))
-    live = {}  # slot -> length of the blob it holds
+    store = CheckpointStore(budget_bytes=int(3.5 * fields[64].nbytes))
+    live = {}  # slot -> nbytes of the state it holds
     for op, slot, size in ops:
         try:
             if op in ("put", "overwrite"):
                 store.put(slot, slot, fields[size], codec, overwrite=op == "overwrite")
-                live[slot] = blob_bytes(fields[size], codec)
+                live[slot] = fields[size].nbytes
             elif op == "free":
                 store.free(slot)
                 del live[slot]
