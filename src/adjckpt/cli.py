@@ -198,14 +198,20 @@ def cmd_run(args) -> int:
     codec = codecs.get_codec(args.codec, tolerance=args.tolerance)
     null = codecs.NullCodec()
 
-    plain_blob_bytes = len(null.encode(stepper.initial_state())[0])
-    budget = plain_blob_bytes * args.slots + 1 if args.budget is None else args.budget
+    state_bytes = stepper.initial_state().nbytes
+    budget = state_bytes * args.slots + 1 if args.budget is None else args.budget
     p, samples = driver.calibrate(stepper, codec, budget)
-    comp_blob_bytes = max(len(codec.encode(s)[0]) for s in samples)
-    m_plain = int(budget // plain_blob_bytes)
-    m_comb = int(budget // comp_blob_bytes)
-    if m_plain < 1 or m_comb < 1:
-        raise InvalidArgumentError(f"budget {budget:.3g} B holds no checkpoint")
+
+    def slots_held(cdc) -> int:
+        """Budget over the most bytes the store charges for a sampled state;
+        a state the budget cannot hold raises the store's CapacityError."""
+        probe, charged = CheckpointStore(budget), 0
+        for state in samples:
+            probe.put(0, 0, state, cdc, overwrite=True)
+            charged = max(charged, probe.bytes_used)
+        return int(budget // charged)
+
+    m_plain, m_comb = slots_held(null), slots_held(codec)
     row = perfmodel.evaluate(p, budget, m_plain, m_comb)
 
     def timed_run(m: int, cdc) -> float:
@@ -278,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--nt", type=int, default=60, help="timestep count")
     sub.add_argument("--slots", type=int, default=3, help="uncompressed slot count; sets the budget")
     sub.add_argument(
-        "--budget", type=_positive("budget"), help="budget bytes (default: --slots null checkpoints)"
+        "--budget", type=_positive("budget"), help="budget bytes (default: --slots raw states, plus 1)"
     )
     sub.add_argument("--codec", default="cast", choices=["null", "cast", "quant"])
     sub.add_argument("--tolerance", type=float, default=1e-6, help="absolute error bound (quant)")

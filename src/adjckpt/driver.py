@@ -23,7 +23,8 @@ reports; any store or codec failure comes back from ``run_schedule`` as an
 ``calibrate`` is the one place that turns measurements into the cost
 model's ``PerfParams``: one timed forward sweep for the step cost, the
 store's raw copy of its final state for the bandwidth, and the codec's
-profile on that state for the ratio and codec times.
+profile on that state for the ratio and codec times (none for a
+``NullCodec``, which the store copies raw).
 """
 
 from __future__ import annotations
@@ -382,7 +383,9 @@ def calibrate(
     sweep, warm-up left out.  The copy bandwidth comes from the median time
     of a ``NullCodec`` put of the final state, the read-only copy the store
     keeps of a raw checkpoint; ``codec``'s profile on that state gives the
-    ratio and codec times.  ``memory_bytes`` is passed through.  The states
+    ratio and codec times.  A ``NullCodec`` is priced as the store runs it,
+    at ratio 1 with no codec time, so its side costs what the plain side
+    does.  ``memory_bytes`` is passed through.  The states
     are the initial one, samples every quarter of the sweep and the final
     one, last.
     """
@@ -403,16 +406,19 @@ def calibrate(
         t0 = time.perf_counter()
         raw.put(0, 0, state, null, overwrite=True)
         copies.append(time.perf_counter() - t0)
-    comp = profile(codec, state, repetitions=_CALIBRATION_REPS)
+    ratio, t_c, t_d = 1.0, 0.0, 0.0  # a raw checkpoint is the copy timed above
+    if not isinstance(codec, NullCodec):
+        comp = profile(codec, state, repetitions=_CALIBRATION_REPS)
+        ratio, t_c, t_d = comp.ratio, comp.t_c, comp.t_d
     params = PerfParams(
         step_cost=float(np.median(good)),
         nsteps=stepper.nsteps,
         state_bytes=state.nbytes,
         bandwidth=state.nbytes / max(float(np.median(copies)), 1e-9),
         memory_bytes=memory_bytes,
-        ratio=comp.ratio,
-        compress_time=comp.t_c,
-        decompress_time=comp.t_d,
+        ratio=ratio,
+        compress_time=t_c,
+        decompress_time=t_d,
     )
     return params, samples
 
@@ -453,23 +459,14 @@ def dot_test(params: WaveParams, trials: int = 20, seed: int = 0) -> float:
 
 @dataclass
 class ExecutionStats:
-    primal_steps: int = 0
-    adjoint_steps: int = 0
-    advance_seconds: float = 0.0
-    capture_seconds: float = 0.0
-    adjoint_seconds: float = 0.0
+    """Forward steps run (the first sweep plus every replay) and adjoint steps run.
 
-    @property
-    def forward_step_seconds(self) -> float:
-        if self.primal_steps == 0:
-            return 0.0
-        return (self.advance_seconds + self.capture_seconds) / self.primal_steps
+    The sweep keeps no clocks; time its phases from outside, by wrapping
+    the stepper.
+    """
 
-    @property
-    def adjoint_step_seconds(self) -> float:
-        if self.adjoint_steps == 0:
-            return 0.0
-        return self.adjoint_seconds / self.adjoint_steps
+    primal_steps: int
+    adjoint_steps: int
 
 
 @dataclass
@@ -493,7 +490,6 @@ class _Sweep(ScheduleBackend):
         self.cur = stepper.initial_state()
         self.upper: np.ndarray | None = None
         self.adj = stepper.initial_adjoint()
-        self.stats = ExecutionStats()
 
     def store(self, slot: int, state: int) -> None:
         self.ckpts.put(slot, state, self.cur, self.codec)
@@ -505,20 +501,14 @@ class _Sweep(ScheduleBackend):
         self.ckpts.free(slot)
 
     def advance(self, from_step: int, to_step: int) -> None:
-        t0 = time.perf_counter()
         for k in range(from_step, to_step):
             self.cur = self.stepper.forward(self.cur, k)
-        self.stats.advance_seconds += time.perf_counter() - t0
 
     def capture(self, step: int) -> None:
-        t0 = time.perf_counter()
         self.upper = self.stepper.forward(self.cur, step)
-        self.stats.capture_seconds += time.perf_counter() - t0
 
     def adjoint(self, step: int) -> None:
-        t0 = time.perf_counter()
         self.adj = self.stepper.adjoint(self.adj, self.cur, self.upper, step)
-        self.stats.adjoint_seconds += time.perf_counter() - t0
         self.upper = self.cur
 
 
@@ -533,12 +523,10 @@ def execute(
     The stream is interpreted by ``schedule.run_schedule`` with no slot
     bound, the store's byte budget being the bound; it raises
     ScheduleValidationError exactly where ``schedule_stats`` would.  Store
-    and codec failures abort with the schedule position attached.
+    and codec failures abort with the schedule position attached.  The
+    step counts come from the interpreter's tally of the stream.
     """
     n = stepper.nsteps
     sweep = _Sweep(stepper, store, codec)
     counts = run_schedule(actions, n, None, sweep)
-    stats = sweep.stats
-    stats.primal_steps = n + counts.recompute_steps
-    stats.adjoint_steps = n
-    return ExecutionResult(adjoint=sweep.adj, stats=stats)
+    return ExecutionResult(sweep.adj, ExecutionStats(n + counts.recompute_steps, n))

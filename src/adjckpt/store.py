@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codecs import Codec, CodecStats, NullCodec
+from .codecs import Codec, NullCodec
 from .errors import CapacityError, InvalidArgumentError, MissingCheckpointError
 
 __all__ = ["CheckpointStore"]
@@ -59,7 +59,7 @@ class CheckpointStore:
         fieldval: np.ndarray,
         codec: Codec,
         overwrite: bool = False,
-    ) -> CodecStats:
+    ) -> None:
         old = self._slots.get(slot)
         if old is not None and not overwrite:
             raise InvalidArgumentError(f"slot {slot} occupied; pass overwrite=True to replace")
@@ -67,9 +67,8 @@ class CheckpointStore:
             data = np.array(fieldval, order="C")
             data.setflags(write=False)
             size = data.nbytes
-            stats = CodecStats(size, size, 1.0, 0.0, 0.0, 0.0)
         else:
-            data, stats = codec.encode(fieldval)
+            data = codec.encode(fieldval)[0]
             size = len(data)
         freed = old[2] if old is not None else 0
         available = self.budget_bytes - (self._bytes_used - freed)
@@ -79,7 +78,6 @@ class CheckpointStore:
         self._bytes_used += size - freed
         self.counters.puts += 1
         self.counters.bytes_written += size
-        return stats
 
     def get(self, slot: int, codec: Codec) -> tuple[int, np.ndarray]:
         """The slot's step and state; a raw state comes back as the stored read-only array."""

@@ -217,6 +217,41 @@ class TestRun:
         for m, p in (("m_plain", "p_plain"), ("m_compressed", "p_compressed")):
             assert int(row[p]) == schedule.recompute_count(18, min(int(row[m]), 18))
 
+    def test_null_codec_prices_both_sides_alike(self, capsys, tmp_path):
+        out_csv = tmp_path / "run.csv"
+        code, out, _ = run_cli(
+            capsys, "run", "--grid", "40x40", "--nt", "18", "--slots", "2",
+            "--codec", "null", "--out", str(out_csv),
+        )
+        assert code == 0
+        assert "speedup 1.000" in next(ln for ln in out.splitlines() if ln.startswith("model:"))
+        row = dict(zip(cli.RUN_HEADER.split(","), out_csv.read_text().splitlines()[1].split(",")))
+        assert float(row["speedup"]) == 1.0
+        assert float(row["profiled_tc_s"]) == float(row["profiled_td_s"]) == 0.0
+        assert row["m_plain"] == row["m_compressed"] == "2"
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_budget_of_k_raw_states_plans_k_plain_slots(self, capsys, tmp_path, k):
+        nbytes = 2 * 30 * 30 * 8  # the leapfrog pair
+        out_csv = tmp_path / "run.csv"
+        code, _, _ = run_cli(
+            capsys, "run", "--grid", "30x30", "--nt", "12", "--budget", str(k * nbytes),
+            "--out", str(out_csv),
+        )
+        assert code == 0
+        row = dict(zip(cli.RUN_HEADER.split(","), out_csv.read_text().splitlines()[1].split(",")))
+        assert int(row["m_plain"]) == k
+
+    def test_budget_below_one_state_exits_2(self, capsys):
+        nbytes = 2 * 30 * 30 * 8
+        code, _, err = run_cli(
+            capsys, "run", "--grid", "30x30", "--nt", "12", "--budget", str(nbytes - 1)
+        )
+        assert code == 2
+        lines = [ln for ln in err.splitlines() if ln]
+        assert len(lines) == 1
+        assert lines[0].startswith("error: capacity: ")
+
     def test_budget_beyond_any_slot_index_runs(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--grid", "20x20", "--nt", "5", "--budget", "1e300")
         assert code == 0

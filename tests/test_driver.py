@@ -356,19 +356,6 @@ class TestExecutor:
                 schedule.schedule_stats(acts, n, 2)
             assert err.value.index == index, text
 
-    def test_stats_report_phase_times(self):
-        params = driver.homogeneous_params((50,), nt=30)
-        stepper = driver.WaveStepper(params)
-        res = driver.execute(
-            schedule.generate_schedule(30, 3),
-            stepper,
-            null_store_for(stepper, 3),
-            codecs.NullCodec(),
-        )
-        stats = res.stats
-        assert stats.forward_step_seconds > 0
-        assert stats.adjoint_step_seconds > 0
-
 
 class TestCalibrate:
     def test_params_come_from_the_measured_sweep(self):
