@@ -192,6 +192,10 @@ def cmd_profile_codec(args) -> int:
     return 0
 
 
+# timed repetitions of each side of `run`, after one warm-up each
+_RUN_REPS = 3
+
+
 def cmd_run(args) -> int:
     params = driver.homogeneous_params(args.grid, nt=args.nt)
     stepper = driver.WaveStepper(params)
@@ -221,8 +225,13 @@ def cmd_run(args) -> int:
         driver.execute(acts, stepper, store, cdc)
         return time.perf_counter() - t0
 
-    measured_plain = timed_run(m_plain, null)
-    measured_comb = timed_run(m_comb, codec)
+    # a warm-up per side, then interleaved repetitions, so that a transient
+    # slowdown hits both sides; each side reports its fastest run
+    sides = ((m_plain, null), (m_comb, codec))
+    for m, cdc in sides:
+        timed_run(m, cdc)
+    runs = [[timed_run(m, cdc) for m, cdc in sides] for _ in range(_RUN_REPS)]
+    measured_plain, measured_comb = map(min, zip(*runs))
 
     csv = RUN_HEADER + "\n" + row.csv() + (
         f",{measured_plain!r},{measured_comb!r},{measured_plain / measured_comb!r},"

@@ -10,9 +10,14 @@ Three codecs cover the compression modes the performance model cares about:
   index once plus bit-packed per-value offsets of minimal width.  Every
   reconstructed value lies within ``tolerance`` of the input.  A block
   whose values are all equal has width 0 and is its 11-byte header alone;
-  encode and decode touch bits only in the other blocks.  Decode first
-  walks the headers, following each width to the next header, and then
-  checks every walked header's count, width and extent at once.
+  encode and decode touch bits only in the other blocks.  Per-value work
+  of any kind is done only in *hot* blocks, which hold a value more than
+  half a step from 0: encode tells them from each block's largest
+  magnitude, and decode writes only blocks of nonzero base or width over
+  one fill of the output.  Where blocks are hot changes no byte of the
+  format.  Decode first walks the headers, following each width to the
+  next header, and then checks every walked header's count, width and
+  extent at once.
 
 All encoded blobs share one little-endian envelope so they can be written
 to disk and reread later:
@@ -85,8 +90,6 @@ def _require_field(field: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(f"unsupported dtype {arr.dtype}, use float32/float64")
     if arr.size == 0:
         raise InvalidArgumentError("cannot encode an empty field")
-    if not np.all(np.isfinite(arr)):
-        raise CodecError("field contains non-finite values")
     return arr
 
 
@@ -136,9 +139,11 @@ class _RawCodec:
 
     def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
         arr = _require_field(field)
+        if not np.all(np.isfinite(arr)):
+            raise CodecError("field contains non-finite values")
         with np.errstate(over="ignore"):
             stored = arr.astype(self._widths[arr.dtype], copy=False)
-        # _require_field checked finiteness; only a narrower width can overflow
+        # the field is finite; only a narrower width can overflow
         if stored is not arr and not np.all(np.isfinite(stored)):
             raise CodecError("values overflow the narrower float width")
         payload = stored.data.cast("B")
@@ -195,12 +200,14 @@ class _Grid(NamedTuple):
 
     ``perm`` lists the flat indices grouped by block, blocks in C order and
     values row-major inside each (edge blocks are partial); block ``b``
-    holds ``perm[starts[b] : starts[b] + counts[b]]``.
+    holds ``perm[starts[b] : starts[b] + counts[b]]``.  ``count_list`` is
+    ``counts`` as Python ints, for the header walk.
     """
 
     perm: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
+    count_list: tuple[int, ...]
 
 
 def _block_counts(shape: tuple[int, ...], k: int) -> np.ndarray:
@@ -224,7 +231,7 @@ def _grid(shape: tuple[int, ...]) -> _Grid:
     starts = np.cumsum(counts) - counts
     for a in (perm, starts, counts):
         a.setflags(write=False)
-    return _Grid(perm, starts, counts)
+    return _Grid(perm, starts, counts, tuple(counts.tolist()))
 
 
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -235,21 +242,46 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.searchsorted(_POW2, x, side="right")
 
 
-def _wide_values(
-    grid: _Grid, at: np.ndarray, nbits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block, block-order index and first bit of every value whose block has bits.
+def _values_of(
+    grid: _Grid, blocks: np.ndarray
+) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
+    """Where the values of ``blocks`` lie in block order, and the start and
+    count of each block among just those values.
 
-    Value j of block b takes bits [j*w, (j+1)*w) after the header at byte
+    ``blocks`` ascends.  When it holds every block, a slice selects all the
+    values, so a dense field pays for no gather.
+    """
+    if blocks.size == grid.counts.size:
+        return slice(None), grid.starts, grid.counts
+    counts = grid.counts[blocks]
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(grid.starts[blocks] - starts, counts)
+    rows += np.arange(rows.size)
+    return rows, starts, counts
+
+
+def _wide_values(
+    counts: np.ndarray, starts: np.ndarray, at: np.ndarray, nbits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Position, first bit and width of every value whose block has bits.
+
+    Block ``b`` holds ``counts[b]`` values from position ``starts[b]`` on,
+    and value j of it takes bits [j*w, (j+1)*w) after its header at byte
     ``at[b]``, low bits first.  Zero-width blocks store no bits, and on
     wavefields most blocks are zero width.
     """
     wide = np.flatnonzero(nbits)
-    counts = grid.counts[wide]
-    block = np.repeat(wide, counts)
-    rank = np.arange(block.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    bit = (at[block] + _HEAD_BYTES) * 8 + rank * nbits[block]
-    return block, grid.starts[block] + rank, bit
+    counts, width = counts[wide], nbits[wide]
+    # value j of wide block b is wide value k = first[b] + j, so its first
+    # bit is (at[b] + header) * 8 - first[b] * w + k * w
+    first = np.cumsum(counts) - counts
+    k = np.arange(counts.sum())
+    rows = np.repeat(starts[wide] - first, counts)
+    rows += k
+    w = np.repeat(width, counts)
+    bit = np.repeat((at[wide] + _HEAD_BYTES) * 8 - first * width, counts)
+    bit += np.multiply(k, w, out=k)
+    return rows, bit, w
 
 
 def _walk(
@@ -271,11 +303,12 @@ def _walk(
     # built, nothing sized by the (unchecked) shape.
     reach = (size - payload_start) // _HEAD_BYTES + 1
     if reach > nblocks and math.prod(min(_BLOCK, s) for s in shape) < 2**16:
-        counts = _grid(shape).counts
+        _, _, counts, count_list = _grid(shape)
     else:
         counts = _block_counts(shape, min(reach, nblocks))
+        count_list = counts.tolist()
     widths = bytearray()
-    pos, i, n, count_list = payload_start, 0, len(counts), counts.tolist()
+    pos, i, n = payload_start, 0, len(counts)
     while i < n and pos + _HEAD_BYTES <= size:
         width = blob[pos + 10]
         if width:
@@ -312,7 +345,13 @@ def _walk(
 
 
 class QuantCodec:
-    """Fixed-tolerance quantizer: absolute error of every value <= tolerance."""
+    """Fixed-tolerance quantizer: absolute error of every value <= tolerance.
+
+    Only *hot* blocks, those holding a value more than half a step from 0,
+    get per-value work.  Every other block quantizes to index 0 throughout
+    (base 0, width 0): encode learns that, and its error, from the block's
+    largest magnitude, and decode leaves it to the one fill of the output.
+    """
 
     name = "quant"
 
@@ -321,8 +360,8 @@ class QuantCodec:
             raise InvalidArgumentError(f"tolerance must be positive, got {tolerance}")
         self.tolerance = float(tolerance)
 
-    def _quantize(self, arr: np.ndarray):
-        """Block-ordered lattice indices of ``arr`` with each block's base and width."""
+    def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
+        arr = _require_field(field)
         # Lattice spacing 1.5 * tolerance instead of the nominal 2x: the
         # quarter-tolerance margin absorbs float64 reconstruction roundoff,
         # keeping the absolute-error contract exact down to tolerances a
@@ -330,46 +369,64 @@ class QuantCodec:
         step = 1.5 * self.tolerance
         grid = _grid(arr.shape)
         x = arr.ravel()[grid.perm]
-        scaled = np.divide(x, step, dtype=np.float64)
-        if max(scaled.max(), -scaled.min()) >= 2**62:
+        # Each block's largest |x|, reduced over the float64 bits as int64:
+        # non-negative floats order as their bit patterns do, NaN above inf.
+        # The buffer then holds the hot values' quotients.
+        work = np.abs(x, dtype=np.float64)
+        peak = np.maximum.reduceat(work.view(np.int64), grid.starts).view(np.float64)
+        # Division is monotone, so this is the largest |x / step|.  A NaN or
+        # an infinity fails it too; only then is the field searched for one.
+        if not float(peak.max()) / step < 2**62:
+            if not np.all(np.isfinite(arr)):
+                raise CodecError("field contains non-finite values")
             raise CodecError("tolerance too small for the value range")
+        # A quiet block rounds to index 0 throughout, so its error is its peak.
+        quiet = peak / step <= 0.5
+        hot = np.flatnonzero(~quiet)
+        rows, starts, counts = _values_of(grid, hot)
+        hx = x[rows]
+        scaled = np.divide(hx, step, out=work[: hx.size], dtype=np.float64)
         # round-to-even keeps re-encoding a decoded field stable
         np.rint(scaled, out=scaled)
         idx = scaled.astype(np.int64)
         approx = np.multiply(scaled, step, out=scaled).astype(arr.dtype, copy=False)
-        err = float(np.abs(np.subtract(x, approx, out=approx), out=approx).max())
+        hot_err = np.abs(np.subtract(hx, approx, out=approx), out=approx).max(initial=0)
+        err = float(max(hot_err, peak[quiet].max(initial=0)))
         if err > self.tolerance:
             raise CodecError(
                 f"tolerance {self.tolerance:g} is below what float64 can honor "
-                f"for values of magnitude {np.abs(arr).max():g}"
+                f"for values of magnitude {peak.max():g}"
             )
         if grid.counts.max() >= 2**16:
             raise InvalidArgumentError(f"{arr.ndim}-d blocks overflow the u16 value count")
-        base = np.minimum.reduceat(idx, grid.starts)
-        top = np.maximum.reduceat(idx, grid.starts)
-        return grid, step, idx, base, _bit_length((top - base).astype(np.uint64)), err
-
-    def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
-        arr = _require_field(field)
-        grid, step, idx, base, nbits, err = self._quantize(arr)
+        base = np.minimum.reduceat(idx, starts)
+        width = _bit_length((np.maximum.reduceat(idx, starts) - base).astype(np.uint64))
+        nbits = np.zeros(grid.counts.size, dtype=np.int64)
+        nbits[hot] = width
         sizes = _HEAD_BYTES + (grid.counts * nbits + 7) // 8
-        at = np.cumsum(sizes) - sizes
-        total = int(at[-1] + sizes[-1])
+        heads = np.cumsum(sizes) - sizes
+        total = int(heads[-1] + sizes[-1])
         # whole words, the last one for the high part of a value that ends the payload
         words = np.zeros(total // 8 + 2, dtype="<u8")
         payload = words.view(np.uint8)[:total]
         # Values own disjoint bits, so adding them into the words they
-        # straddle ORs them in.  The high part is offset >> (64 - shift),
-        # split in two because a shift by 64 is undefined.
-        block, rows, bit = _wide_values(grid, at, nbits)
-        offset = (idx[rows] - base[block]).astype(np.uint64)
-        word, shift = bit >> 6, (bit & 63).astype(np.uint64)
-        np.add.at(words, word, offset << shift)
-        np.add.at(words, word + 1, offset >> 1 >> 63 - shift)
-        _header_field(payload, "count")[at] = grid.counts
+        # straddle ORs them in.  Only a value that runs past the end of its
+        # word has a high part, offset >> (64 - shift), with 64 - shift < 64.
+        at = heads[hot]
+        vrows, bit, w = _wide_values(counts, starts, at, width)
+        idx -= np.repeat(base, counts)
+        # offsets and shifts are non-negative: their uint64 views are the values
+        offset = idx[vrows].view(np.uint64)
+        shift = bit & 63
+        word = np.right_shift(bit, 6, out=bit)
+        np.add.at(words, word, offset << shift.view(np.uint64))
+        spill = np.flatnonzero(shift + w > 64)
+        np.add.at(words, word[spill] + 1, offset[spill] >> (64 - shift[spill]).view(np.uint64))
+        # a quiet block's base and width are the zeros already there
+        _header_field(payload, "count")[heads] = grid.counts
         _header_field(payload, "base")[at] = base
-        _header_field(payload, "nbits")[at] = nbits
-        header = struct.pack("<ddI", self.tolerance, step, len(base))
+        _header_field(payload, "nbits")[at] = width
+        header = struct.pack("<ddI", self.tolerance, step, grid.counts.size)
         blob = _seal(_ID_QUANT, arr, header, payload.data)
         return blob, CodecStats(arr.nbytes, total, arr.nbytes / total, 0.0, 0.0, err)
 
@@ -396,19 +453,28 @@ class QuantCodec:
             raise CodecDecodeError(end + 4, "trailing bytes after checksum")
         # zero padding keeps each value's 9-byte read inside the buffer
         buf = np.frombuffer(b"".join((blob, bytes(8))), dtype=np.uint8)
-        idx = np.repeat(_header_field(buf, "base")[at], grid.counts)
-        block, rows, bit = _wide_values(grid, at, nbits)
-        byte, shift = bit >> 3, (bit & 7).astype(np.uint64)
+        base = _header_field(buf, "base")[at]
+        # a block of base 0 and width 0 decodes to 0 * step throughout, which
+        # the one fill writes (-0.0 if a blob's header carries a negative step)
+        live = np.flatnonzero(base | nbits)
+        rows, starts, counts = _values_of(grid, live)
+        at, nbits = at[live], nbits[live]
+        idx = np.repeat(base[live], counts)
+        vrows, bit, width = _wide_values(counts, starts, at, nbits)
+        byte, shift = bit >> 3, bit & 7
         # a value starts at bit `shift` of its little-endian 64-bit word; with
-        # a width above 56 its top bits spill into the byte after that word,
-        # shifted up by 64 - shift in two steps
-        low = _at_every_byte(buf, np.dtype("<u8"))[byte] >> shift
-        high = buf[byte + 8].astype(np.uint64) << 1 << 63 - shift
-        mask = (np.uint64(1) << nbits[block].astype(np.uint64)) - np.uint64(1)
-        idx[rows] += ((low | high) & mask).astype(np.int64)
-        out = np.empty(grid.perm.size, dtype=np.float64)
-        out[grid.perm] = idx * step
-        return out.reshape(shape).astype(dtype, copy=False)
+        # a width above 56 its top bits can spill into the byte after that
+        # word, shifted up by 64 - shift < 64
+        value = _at_every_byte(buf, np.dtype("<u8"))[byte] >> shift.view(np.uint64)
+        spill = np.flatnonzero(shift + width > 64)
+        high = buf[byte[spill] + 8].astype(np.uint64)
+        value[spill] |= high << (64 - shift[spill]).view(np.uint64)
+        # widths are at most 63, so every masked value is an int64 as it is
+        value &= (np.uint64(1) << width.view(np.uint64)) - np.uint64(1)
+        idx[vrows] += value.view(np.int64)
+        out = np.full(grid.perm.size, 0.0 * step, dtype=dtype)
+        out[grid.perm[rows]] = idx * step
+        return out.reshape(shape)
 
 
 Codec = NullCodec | CastCodec | QuantCodec

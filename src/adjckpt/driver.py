@@ -22,9 +22,10 @@ reports; any store or codec failure comes back from ``run_schedule`` as an
 
 ``calibrate`` is the one place that turns measurements into the cost
 model's ``PerfParams``: one timed forward sweep for the step cost, the
-store's raw copy of its final state for the bandwidth, and the codec's
-profile on that state for the ratio and codec times (none for a
-``NullCodec``, which the store copies raw).
+store's raw copy of its final state for the bandwidth, the codec's
+profile on that state for the ratio, and its profiles on the sampled
+states for the codec times (none for a ``NullCodec``, which the store
+copies raw).
 """
 
 from __future__ import annotations
@@ -382,12 +383,15 @@ def calibrate(
     The step cost is the median seconds per forward step over one forward
     sweep, warm-up left out.  The copy bandwidth comes from the median time
     of a ``NullCodec`` put of the final state, the read-only copy the store
-    keeps of a raw checkpoint; ``codec``'s profile on that state gives the
-    ratio and codec times.  A ``NullCodec`` is priced as the store runs it,
-    at ratio 1 with no codec time, so its side costs what the plain side
-    does.  ``memory_bytes`` is passed through.  The states
-    are the initial one, samples every quarter of the sweep and the final
-    one, last.
+    keeps of a raw checkpoint.  The states are the initial one, samples
+    every quarter of the sweep and the final one, last.  ``codec`` is
+    profiled once on each: the ratio is the final state's, and the codec
+    times are the mean over all of them, because a codec's cost can grow
+    with the state (the quantizer's with its share of hot blocks) and a
+    sweep checkpoints states from every part of the run.  A
+    ``NullCodec`` is priced as the store runs it, at ratio 1 with no codec
+    time, so its side costs what the plain side does.  ``memory_bytes`` is
+    passed through.
     """
     state = stepper.initial_state()
     samples = [state]
@@ -408,8 +412,10 @@ def calibrate(
         copies.append(time.perf_counter() - t0)
     ratio, t_c, t_d = 1.0, 0.0, 0.0  # a raw checkpoint is the copy timed above
     if not isinstance(codec, NullCodec):
-        comp = profile(codec, state, repetitions=_CALIBRATION_REPS)
-        ratio, t_c, t_d = comp.ratio, comp.t_c, comp.t_d
+        profiles = [profile(codec, s, repetitions=_CALIBRATION_REPS) for s in samples]
+        ratio = profiles[-1].ratio
+        t_c = float(np.mean([p.t_c for p in profiles]))
+        t_d = float(np.mean([p.t_d for p in profiles]))
     params = PerfParams(
         step_cost=float(np.median(good)),
         nsteps=stepper.nsteps,

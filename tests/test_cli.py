@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adjckpt import cli, perfmodel, schedule
+from adjckpt import cli, driver, perfmodel, schedule
 
 
 def run_cli(capsys, *argv):
@@ -216,6 +216,21 @@ class TestRun:
         assert float(row["speedup"]) == float(row["t_revolve_s"]) / float(row["t_combined_s"])
         for m, p in (("m_plain", "p_plain"), ("m_compressed", "p_compressed")):
             assert int(row[p]) == schedule.recompute_count(18, min(int(row[m]), 18))
+
+    def test_each_side_warms_up_then_alternates(self, capsys, monkeypatch):
+        sides = []
+        execute = driver.execute
+
+        def recording(acts, stepper, store, codec):
+            sides.append(codec.name)
+            return execute(acts, stepper, store, codec)
+
+        monkeypatch.setattr(driver, "execute", recording)
+        code, _, _ = run_cli(
+            capsys, "run", "--grid", "20x20", "--nt", "8", "--slots", "2", "--codec", "cast"
+        )
+        assert code == 0
+        assert sides == ["null", "cast"] * 4
 
     def test_null_codec_prices_both_sides_alike(self, capsys, tmp_path):
         out_csv = tmp_path / "run.csv"

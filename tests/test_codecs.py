@@ -8,7 +8,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -128,9 +128,19 @@ class TestQuantCodec:
             codecs.QuantCodec(0.0)
 
     def test_rejects_non_finite_fields(self):
-        codec = codecs.QuantCodec(1e-3)
-        with pytest.raises(CodecError):
-            codec.encode(np.array([0.0, np.nan]))
+        # alone in a quiet block, and beside values that make its block hot
+        every_codec = (codecs.QuantCodec(1e-3), codecs.NullCodec(), codecs.CastCodec())
+        for bad, dtype, codec in itertools.product(
+            (np.nan, -np.nan, np.inf, -np.inf), (np.float64, np.float32), every_codec
+        ):
+            for x in (np.array([0.0, bad]), np.array([0.0, 1.0, 5.0, bad, 0.0, 7.0])):
+                with pytest.raises(CodecError, match="field contains non-finite values"):
+                    codec.encode(x.astype(dtype))
+
+    def test_finite_values_beyond_the_index_range_are_a_tolerance_fault(self):
+        # 1e300 / 1.5e-10 overflows to inf, yet the field itself is finite
+        with pytest.raises(CodecError, match="tolerance too small"):
+            codecs.QuantCodec(1e-10).encode(np.array([0.0, 1e300, -2.0]))
 
     @given(
         arrays(
@@ -478,6 +488,91 @@ def _reference_quant_decode(blob):
     return out.reshape(shape).astype(dtype)
 
 
+def _reference_quant_encode(field, tolerance):
+    """The dense quant encoder: every value is divided, rounded and checked,
+    and bases and widths are reduced over every block.
+
+    ``QuantCodec.encode`` must match it byte for byte, ``CodecStats`` for
+    ``CodecStats`` and error for error.
+    """
+    C = codecs
+    arr = np.ascontiguousarray(field)
+    if not np.all(np.isfinite(arr)):
+        raise CodecError("field contains non-finite values")
+    step = 1.5 * tolerance
+    grid = C._grid(arr.shape)
+    x = arr.ravel()[grid.perm]
+    scaled = np.divide(x, step, dtype=np.float64)
+    if max(scaled.max(), -scaled.min()) >= 2**62:
+        raise CodecError("tolerance too small for the value range")
+    np.rint(scaled, out=scaled)
+    idx = scaled.astype(np.int64)
+    approx = np.multiply(scaled, step, out=scaled).astype(arr.dtype, copy=False)
+    err = float(np.abs(np.subtract(x, approx, out=approx), out=approx).max())
+    if err > tolerance:
+        raise CodecError(
+            f"tolerance {tolerance:g} is below what float64 can honor "
+            f"for values of magnitude {np.abs(arr).max():g}"
+        )
+    base = np.minimum.reduceat(idx, grid.starts)
+    nbits = C._bit_length((np.maximum.reduceat(idx, grid.starts) - base).astype(np.uint64))
+    sizes = C._HEAD_BYTES + (grid.counts * nbits + 7) // 8
+    at = np.cumsum(sizes) - sizes
+    total = int(at[-1] + sizes[-1])
+    words = np.zeros(total // 8 + 2, dtype="<u8")
+    payload = words.view(np.uint8)[:total]
+    wide = np.flatnonzero(nbits)
+    counts = grid.counts[wide]
+    block = np.repeat(wide, counts)
+    rank = np.arange(block.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    bit = (at[block] + C._HEAD_BYTES) * 8 + rank * nbits[block]
+    offset = (idx[grid.starts[block] + rank] - base[block]).astype(np.uint64)
+    word, shift = bit >> 6, (bit & 63).astype(np.uint64)
+    np.add.at(words, word, offset << shift)
+    np.add.at(words, word + 1, offset >> 1 >> 63 - shift)
+    C._header_field(payload, "count")[at] = grid.counts
+    C._header_field(payload, "base")[at] = base
+    C._header_field(payload, "nbits")[at] = nbits
+    header = struct.pack("<ddI", tolerance, step, len(base))
+    blob = C._seal(C._ID_QUANT, arr, header, payload.data)
+    return blob, C.CodecStats(arr.nbytes, total, arr.nbytes / total, 0.0, 0.0, err)
+
+
+@st.composite
+def _block_mix_fields(draw):
+    """A 1-3 d field whose 4**d blocks are each all zero, quiet (within half
+    a step of 0, ties at exactly +-step/2 included), one nonzero constant
+    (width 0, base not 0) or wide; with four blocks or more, every kind."""
+    shape = draw(array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=13))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    tolerance = draw(st.sampled_from([1e-7, 1e-4, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = 1.5 * tolerance
+    x = np.zeros(shape)
+    blocks = list(itertools.product(*(range(0, s, 4) for s in shape)))
+    kinds = rng.permutation(np.arange(len(blocks)) % 4)
+    for starts, kind in zip(blocks, kinds):
+        box = tuple(slice(a, a + 4) for a in starts)
+        n = x[box].size
+        if kind == 1:
+            quiet = rng.uniform(-0.5, 0.5, n) * step
+            quiet[rng.random(n) < 0.3] = rng.choice([-0.5, 0.5]) * step
+            x[box] = quiet.reshape(x[box].shape)
+        elif kind == 2:
+            x[box] = rng.choice([-1, 1]) * rng.uniform(0.6, 1e4) * step
+        elif kind == 3:
+            x[box] = rng.normal(size=x[box].shape) * 10.0 ** rng.integers(0, 7) * step
+    return x.astype(dtype), tolerance
+
+
+def _encode_outcome(encode, x):
+    """What encoding ``x`` gives: the blob and stats, or the error and its text."""
+    try:
+        return encode(x)
+    except (CodecError, InvalidArgumentError) as err:
+        return type(err), str(err)
+
+
 def _block_header_offsets(blob, ndim):
     """Where each block header of a valid quant blob starts."""
     pos, heads = 8 + 4 * ndim + 20, []
@@ -518,6 +613,17 @@ class TestQuantDecodeParity:
         assert y.tobytes() == _reference_quant_decode(blob).tobytes()
         assert np.array_equal(y, expected * 1.5)
 
+    def test_zero_blocks_follow_the_header_step(self):
+        # The header lies outside the checksum, so a blob may carry any step
+        # that is 1.5 * tolerance; index 0 then decodes to 0 * step, which
+        # is -0.0 for a negative step.
+        x = np.zeros((8, 8))
+        x[:4, :4] = np.random.default_rng(8).normal(size=(4, 4))
+        blob = bytearray(codecs.QuantCodec(1e-3).encode(x)[0])
+        blob[_STEP_AT - 8 : _NBLOCKS_AT] = struct.pack("<dd", -1e-3, -1.5e-3)
+        y = codecs.QuantCodec(1e-3).decode(bytes(blob))
+        assert y.tobytes() == _reference_quant_decode(bytes(blob)).tobytes()
+
     def test_fuzzed_blobs_match_reference_decoder(self):
         # truncations, single-bit flips and appended bytes of 1-3 d quant
         # blobs, sparse and dense, float32 and float64
@@ -552,6 +658,24 @@ class TestQuantDecodeParity:
         assert checked >= 700
         # the mutations must reach the decoder's checks, not only its happy path
         assert 0.5 * checked < outcomes < checked
+
+
+class TestQuantEncodeParity:
+    @given(_block_mix_fields())
+    # float64 spacing near 1 is above the tolerance: both raise alike
+    @example(case=(np.array([0.0, 1.3, -0.7]), 2e-16))
+    @example(case=(np.eye(4, 8, 5) * 1.3, 2e-16))
+    @seed(20)
+    @settings(max_examples=150, deadline=None)
+    def test_blobs_and_stats_match_reference_encoder(self, case):
+        x, tolerance = case
+        codec = codecs.QuantCodec(tolerance)
+        got = _encode_outcome(codec.encode, x)
+        assert got == _encode_outcome(lambda y: _reference_quant_encode(y, tolerance), x)
+        if isinstance(got[0], bytes):
+            want = _reference_quant_decode(got[0])
+            y = codec.decode(got[0])
+            assert (y.dtype, y.shape, y.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 class TestProfile:

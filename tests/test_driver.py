@@ -372,3 +372,20 @@ class TestCalibrate:
         for i in range(stepper.nsteps):
             final = stepper.forward(final, i)
         np.testing.assert_array_equal(samples[-1], final)
+
+    def test_codec_times_average_one_profile_per_sample(self, monkeypatch):
+        profiled = []
+
+        def fake_profile(codec, field, repetitions):
+            i = len(profiled)
+            profiled.append(field)
+            return codecs.CodecStats(field.nbytes, 1, 10.0 + i, float(i), 2.0 * i, 0.0)
+
+        monkeypatch.setattr(driver, "profile", fake_profile)
+        stepper = driver.WaveStepper(driver.homogeneous_params((24, 20), nt=12))
+        p, samples = driver.calibrate(stepper, codecs.QuantCodec(1e-6), 12345.0)
+        assert len(profiled) == len(samples) > 2
+        assert all(a is b for a, b in zip(profiled, samples))
+        assert p.ratio == 10.0 + len(samples) - 1  # the final state's
+        assert p.compress_time == np.mean(range(len(samples)))
+        assert p.decompress_time == 2.0 * np.mean(range(len(samples)))
