@@ -13,11 +13,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import codecs, driver, perfmodel, schedule
+# Planning commands load no numpy; profile-codec and run import it, with
+# codecs, driver and store, when they run.
+from . import perfmodel, schedule
 from .errors import AdjCkptError, InvalidArgumentError
-from .store import CheckpointStore
 
 RUN_HEADER = (
     perfmodel.SWEEP_HEADER
@@ -154,16 +153,11 @@ def cmd_verify_schedule(args) -> int:
     return 0
 
 
-_FIELD_MAKERS = {
-    "noise": lambda shape, rng: rng.uniform(-1.0, 1.0, size=shape),
-    "gauss": lambda shape, rng: rng.normal(size=shape),
-    "sine": lambda shape, rng: np.sin(
-        np.add.reduce(np.meshgrid(*[np.linspace(0, 6 * np.pi, s) for s in shape], indexing="ij"))
-    ),
-}
+def _make_field(kind: str, shape: tuple[int, ...], seed: int):
+    import numpy as np
 
+    from . import driver
 
-def _make_field(kind: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
     if kind == "wavefield":
         if len(shape) > 2:
             raise InvalidArgumentError(f"the wavefield field is 1D or 2D, got shape {shape}")
@@ -173,13 +167,20 @@ def _make_field(kind: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
         for i in range(params.nt):
             state = stepper.forward(state, i)
         return state[1]
-    maker = _FIELD_MAKERS.get(kind)
-    if maker is None:
-        raise InvalidArgumentError(f"unknown field kind {kind!r}")
-    return maker(shape, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    if kind == "noise":
+        return rng.uniform(-1.0, 1.0, size=shape)
+    if kind == "gauss":
+        return rng.normal(size=shape)
+    if kind == "sine":
+        axes = [np.linspace(0, 6 * np.pi, s) for s in shape]
+        return np.sin(np.add.reduce(np.meshgrid(*axes, indexing="ij")))
+    raise InvalidArgumentError(f"unknown field kind {kind!r}")
 
 
 def cmd_profile_codec(args) -> int:
+    from . import codecs
+
     fieldval = _make_field(args.field, args.shape, args.seed)
     codec = codecs.get_codec(args.codec, tolerance=args.tolerance)
     stats = codecs.profile(codec, fieldval, repetitions=args.reps)
@@ -197,6 +198,9 @@ _RUN_REPS = 3
 
 
 def cmd_run(args) -> int:
+    from . import codecs, driver
+    from .store import CheckpointStore
+
     params = driver.homogeneous_params(args.grid, nt=args.nt)
     stepper = driver.WaveStepper(params)
     codec = codecs.get_codec(args.codec, tolerance=args.tolerance)

@@ -242,6 +242,24 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.searchsorted(_POW2, x, side="right")
 
 
+def _block_peaks(bits: np.ndarray) -> np.ndarray:
+    """The largest item of each 4**d block of ``bits``, blocks in C order.
+
+    Axis by axis, the elementwise maximum of the stride-4 slices that start
+    at 0, 1, 2 and 3; where the last block along the axis is partial, the
+    later slices are one shorter and skip it.
+    """
+    for axis, size in enumerate(bits.shape):
+        lead = (slice(None),) * axis
+        peak = bits[lead + (slice(0, None, _BLOCK),)].copy()
+        for j in range(1, min(_BLOCK, size)):
+            part = bits[lead + (slice(j, None, _BLOCK),)]
+            edge = peak[lead + (slice(part.shape[axis]),)]
+            np.maximum(edge, part, out=edge)
+        bits = peak
+    return bits.reshape(-1)
+
+
 def _values_of(
     grid: _Grid, blocks: np.ndarray
 ) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
@@ -368,12 +386,11 @@ class QuantCodec:
         # few machine epsilons above the value magnitude.
         step = 1.5 * self.tolerance
         grid = _grid(arr.shape)
-        x = arr.ravel()[grid.perm]
         # Each block's largest |x|, reduced over the float64 bits as int64:
         # non-negative floats order as their bit patterns do, NaN above inf.
         # The buffer then holds the hot values' quotients.
-        work = np.abs(x, dtype=np.float64)
-        peak = np.maximum.reduceat(work.view(np.int64), grid.starts).view(np.float64)
+        work = np.abs(arr, dtype=np.float64)
+        peak = _block_peaks(work.view(np.int64)).view(np.float64)
         # Division is monotone, so this is the largest |x / step|.  A NaN or
         # an infinity fails it too; only then is the field searched for one.
         if not float(peak.max()) / step < 2**62:
@@ -384,8 +401,8 @@ class QuantCodec:
         quiet = peak / step <= 0.5
         hot = np.flatnonzero(~quiet)
         rows, starts, counts = _values_of(grid, hot)
-        hx = x[rows]
-        scaled = np.divide(hx, step, out=work[: hx.size], dtype=np.float64)
+        hx = arr.ravel()[grid.perm[rows]]
+        scaled = np.divide(hx, step, out=work.reshape(-1)[: hx.size], dtype=np.float64)
         # round-to-even keeps re-encoding a decoded field stable
         np.rint(scaled, out=scaled)
         idx = scaled.astype(np.int64)

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-import numpy as np
-
 from .errors import InfeasibleConfigurationError, InvalidArgumentError
 from .schedule import ScheduleStats, recompute_count, schedule_counts
 
@@ -214,6 +212,9 @@ def _axis_values(axis: str, lo: float, hi: float, samples: int) -> list[float]:
         raise InvalidArgumentError(f"need finite 0 < lo <= hi, got {lo}..{hi}")
     if samples == 1 or lo == hi:
         return [float(lo)]
+    # numpy's spacing fixes the sweep's bytes; a one-point query never loads it
+    import numpy as np
+
     if axis == "nsteps":
         vals = np.linspace(lo, hi, samples)
         return sorted({float(max(1, round(v))) for v in vals})

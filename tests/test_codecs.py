@@ -196,6 +196,28 @@ class TestQuantCodec:
         got = codecs._bit_length(np.array(values, dtype=np.uint64))
         assert got.tolist() == [v.bit_length() for v in values]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1,), (3,), (4,), (9,), (2, 3), (5, 7), (8, 4), (2, 9, 5), (4, 1, 6), (3, 5, 2, 6), (1, 2, 1, 3)],
+    )
+    def test_block_peaks_match_gathered_reduceat(self, shape, dtype):
+        # partial edge blocks and axes shorter than a block, with the
+        # non-finite values last, in the grid's last (often partial) block
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        x = rng.normal(size=shape).astype(dtype)
+        x[rng.random(shape) < 0.5] = 0.0
+        grid = codecs._grid(shape)
+        for bad in (None, np.nan, -np.nan, np.inf, -np.inf):
+            if bad is not None:
+                x.flat[-1] = bad
+            bits = np.abs(x, dtype=np.float64).view(np.int64)
+            want = np.maximum.reduceat(bits.ravel()[grid.perm], grid.starts)
+            assert codecs._block_peaks(bits).tolist() == want.tolist()
+            if bad is not None:
+                with pytest.raises(CodecError, match="field contains non-finite values"):
+                    codecs.QuantCodec(1e-3).encode(x)
+
 
 def _reference_quant_payload(x, tol):
     """The quant payload spelled out one 4**d block at a time."""
