@@ -37,14 +37,15 @@ def _positive(name):
     return parse
 
 
+def _count(text: str) -> int:
+    """A positive integer: a slot count, or one size of a shape."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
+    return int(text)
+
+
 def _shape(text: str) -> tuple[int, ...]:
-    try:
-        shape = tuple(int(s) for s in text.lower().split("x"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"shape wants sizes joined by 'x', got {text!r}")
-    if min(shape) < 1:
-        raise argparse.ArgumentTypeError(f"shape sizes must be positive, got {text!r}")
-    return shape
+    return tuple(map(_count, text.lower().split("x")))
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
@@ -141,10 +142,8 @@ def cmd_verify_schedule(args) -> int:
         raise InvalidArgumentError(
             f"schedule replays {stats.recompute_steps} steps, the Revolve count is {expected}"
         )
-    if args.out:
-        Path(args.out).write_text(schedule.format_schedule(actions))
-    elif not args.check:
-        sys.stdout.write(schedule.format_schedule(actions))
+    if args.out or not args.check:
+        _emit(schedule.format_schedule(actions), args.out)
     print(
         f"ok: n={n} m={m} recompute_steps={stats.recompute_steps} "
         f"writes={stats.writes} reads={stats.reads} peak_slots={stats.peak_slots}"
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("run", help="execute the toy benchmark, measured vs predicted")
     sub.add_argument("--grid", type=_shape, default="120x120", help="grid, e.g. 120x120 or 200")
     sub.add_argument("--nt", type=int, default=60, help="timestep count")
-    sub.add_argument("--slots", type=int, default=3, help="uncompressed slot count; sets the budget")
+    sub.add_argument("--slots", type=_count, default=3, help="uncompressed slot count; sets the budget")
     sub.add_argument(
         "--budget", type=_positive("budget"), help="budget bytes (default: --slots raw states, plus 1)"
     )

@@ -253,8 +253,7 @@ def sweep(p: PerfParams, axis: str, lo: float, hi: float, samples: int) -> list[
     """Evaluate the model along one axis; rows come back ordered by x."""
     if axis not in SWEEP_AXES:
         raise InvalidArgumentError(f"unknown sweep axis {axis!r} (choose {SWEEP_AXES})")
-    rows = [_eval_point(p, axis, x) for x in _axis_values(axis, lo, hi, samples)]
-    return sorted(rows, key=lambda r: r.x)
+    return [_eval_point(p, axis, x) for x in _axis_values(axis, lo, hi, samples)]
 
 
 def rows_to_csv(rows: Iterable[SweepRow]) -> str:

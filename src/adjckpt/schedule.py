@@ -166,11 +166,12 @@ def _check_args(n: int, m: int) -> None:
 # recurrence (every m <= 120 at n <= 1500, m <= 6 at n <= 6000, and far-out
 # entries), and the count and the split against row-based oracles (every
 # m <= 40 at n <= 800, m <= 8 at n <= 3000, and seeded points up to m = 300,
-# n = 60000); neither the structure nor the window is proven.  The near-full
-# zone p(n, m) = n - m + 1 for m < n <= 2m - 1 (provable from the
-# recurrence) answers such queries without a level.  Step counts past
-# ``_MAX_STEPS``, the limit the int64 rows had, stay refused: the write tree
-# ``schedule_counts`` walks can have nearly as many splits as steps.
+# n = 60000); neither the structure nor the window is proven.  On the
+# near-full zone m < n <= 2m - 1 the level sum gives n - m + 1 too, but
+# ``recompute_count`` keeps that closed form, as it keeps m = 1 and m >= n,
+# so that those queries answer past ``_MAX_STEPS``, the int64 rows' limit.
+# Other step counts past it are refused: the write tree ``schedule_counts``
+# walks can have nearly as many splits as steps.
 # ---------------------------------------------------------------------------
 
 _MAX_STEPS = 1_518_500_250  # the largest n with n(n-1)/2 < 2**60

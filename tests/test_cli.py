@@ -291,6 +291,13 @@ class TestRun:
         assert err.value.code == 2
         assert "budget must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("slots", ["0", "-1"])
+    def test_slots_below_one_rejected_when_parsed(self, slots):
+        # refused before the calibration sweep runs, as --budget 0 is
+        with pytest.raises(SystemExit) as err:
+            cli.build_parser().parse_args(["run", "--slots", slots])
+        assert err.value.code == 2
+
 
 @pytest.mark.parametrize("argv", [
     ["run", "--grid", "abc"],
@@ -304,6 +311,8 @@ class TestRun:
     ["advise", "--step-cost", "inf"],
     ["advise", "--tc", "nan"],
     ["run", "--budget", "inf"],
+    ["run", "--slots", "-1"],
+    ["run", "--slots", "0"],
     ["profile-codec", "--codec", "rate", "--rate", "8"],
     ["advise", "--nsteps", "100000000000000000000000"],
     ["advise", "--nsteps", "2000000000"],

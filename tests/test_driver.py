@@ -17,8 +17,7 @@ from test_schedule import DRIFTED_STREAMS
 
 
 def null_store_for(stepper, m):
-    blob = codecs.NullCodec().encode(stepper.initial_state())[0]
-    return CheckpointStore(budget_bytes=(len(blob) + 64) * max(1, m))
+    return CheckpointStore(budget_bytes=m * stepper.initial_state().nbytes)
 
 
 class TestForwardOperator:
