@@ -15,6 +15,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a bad flag value reached the work it should have stopped")
+
+
 MODEL_FLAGS = [
     "--nsteps", "2500", "--state-bytes", "900e6", "--bandwidth", "10e9",
     "--step-cost", "0.1", "--ratio", "42", "--tc", "0.05", "--td", "0.05",
@@ -50,6 +54,13 @@ class TestAdvise:
                 "--out", str(out_s))
         assert out_a.read_text().splitlines()[1] == out_s.read_text().splitlines()[1]
 
+    def test_zero_codec_times_accepted(self, capsys):
+        # plain Revolve is the zero-cost codec, as `run --codec null` measures
+        code, out, err = run_cli(capsys, "advise", "--tc", "0", "--td", "0")
+        assert (code, err) == (0, "")
+        assert "recommendation: combine checkpointing with compression" in out
+        assert out.splitlines()[-2] == perfmodel.SWEEP_HEADER
+
 
 class TestSweep:
     def test_csv_schema_and_shape(self, capsys, tmp_path):
@@ -65,6 +76,15 @@ class TestSweep:
         assert len(lines) == 7
         xs = [float(line.split(",")[0]) for line in lines[1:]]
         assert xs == sorted(xs)
+
+    def test_zero_compress_time_accepted(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "memory", "--range", "2e9:3e12:3", "--tc", "0"
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == perfmodel.SWEEP_HEADER
+        assert len(lines) == 4
 
     def test_deterministic_given_flags(self, capsys, tmp_path):
         argv = ["sweep", "--nsteps", "150", "--state-bytes", "1e6", "--memory",
@@ -197,6 +217,17 @@ class TestProfileCodec:
         cells = out.strip().splitlines()[1].split(",")
         assert float(cells[4]) > 0 and float(cells[5]) > 0
 
+    @pytest.mark.parametrize("flags", [["--tolerance", "-1"], ["--tolerance", "1e-5", "--reps", "0"]],
+                             ids=" ".join)
+    def test_bad_value_refused_before_the_field_is_made(self, capsys, monkeypatch, flags):
+        monkeypatch.setattr(cli, "_make_field", _must_not_run)
+        try:
+            code = cli.main(["profile-codec", "--codec", "quant", "--shape", "512x512", *flags])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert sum("error:" in line for line in capsys.readouterr().err.splitlines()) == 1
+
 
 class TestRun:
     def test_end_to_end(self, capsys, tmp_path):
@@ -285,11 +316,22 @@ class TestRun:
             cli.main(["warp-speed"])
         assert err.value.code == 2
 
-    def test_zero_budget_rejected(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["run", "--budget", "0"])
-        assert err.value.code == 2
-        assert "budget must be positive" in capsys.readouterr().err
+    @pytest.mark.parametrize("flags", [
+        ["--budget", "0"],
+        ["--budget", "-1"],
+        ["--budget", "nan"],
+        ["--budget", "inf"],
+        ["--codec", "quant", "--tolerance", "-1"],
+    ], ids=" ".join)
+    def test_bad_value_refused_before_calibration(self, capsys, monkeypatch, flags):
+        monkeypatch.setattr(driver, "calibrate", _must_not_run)
+        code, out, err = run_cli(capsys, "run", *flags)
+        assert (code, out) == (2, "")
+        lines = [ln for ln in err.splitlines() if ln]
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid-argument: ")
+        if flags[0] == "--budget":
+            assert "budget must be positive" in lines[0]
 
     @pytest.mark.parametrize("slots", ["0", "-1"])
     def test_slots_below_one_rejected_when_parsed(self, slots):
@@ -310,7 +352,12 @@ class TestRun:
     ["advise", "--memory", "inf"],
     ["advise", "--step-cost", "inf"],
     ["advise", "--tc", "nan"],
+    ["advise", "--ratio", "0.5"],
+    ["advise", "--tc", "-1"],
+    ["advise", "--memory", "0"],
+    ["advise", "--state-bytes", "nan"],
     ["run", "--budget", "inf"],
+    ["run", "--budget", "-1"],
     ["run", "--slots", "-1"],
     ["run", "--slots", "0"],
     ["profile-codec", "--codec", "rate", "--rate", "8"],
