@@ -10,6 +10,11 @@ slowness m.  Each operator (a ``WaveStepper``, or one ``simulate`` or
 ``adjoint_source_series`` call) computes its coefficients once and reuses
 one workspace for every step, yet every step returns fresh arrays, and the
 results are bit-identical to evaluating the plain formulas step by step.
+A forward step computes only the flat range of grid lines that the
+source's light cone can have reached, once it has checked that both
+inputs are zero bits outside it, and writes +0.0 on the rest, which is
+what the formulas give there; the sparse early steps of every sweep are
+therefore the cheap ones.
 
 ``execute`` drives any ``Stepper`` through a schedule produced by the
 schedule module, pulling checkpoints from a ``CheckpointStore`` through a
@@ -21,11 +26,11 @@ reports; any store or codec failure comes back from ``run_schedule`` as an
 ``ExecutionError`` naming the action's index and text form.
 
 ``calibrate`` is the one place that turns measurements into the cost
-model's ``PerfParams``: one timed forward sweep for the step cost, the
-store's raw copy of its final state for the bandwidth, the codec's
-profile on that state for the ratio, and its profiles on the sampled
-states for the codec times (none for a ``NullCodec``, which the store
-copies raw).
+model's ``PerfParams``: one timed forward sweep for the median step
+cost, the store's raw copy of its final state for the bandwidth, the
+codec's profile on that state for the ratio, and its profiles on the
+sampled states for the codec times (none for a ``NullCodec``, which the
+store copies raw).
 """
 
 from __future__ import annotations
@@ -123,6 +128,8 @@ def homogeneous_params(
     down the second in 2D.
     """
     ndim = len(shape)
+    if ndim not in (1, 2):  # before the medium of that shape is filled
+        raise InvalidArgumentError("only 1D and 2D grids are supported")
     spacing = 10.0
     m = np.full(shape, 1.0 / 1500.0**2)
     dt = 0.5 * spacing * np.sqrt(m.min()) / np.sqrt(ndim)
@@ -152,6 +159,10 @@ def _aligned_empty(size: int) -> np.ndarray:
     return raw[skip : skip + size]
 
 
+# float64 values per 64-byte cache line
+_LINE = 8
+
+
 class _WaveKernel:
     """Forward and adjoint stencil of one ``WaveParams``, with its own workspace.
 
@@ -168,9 +179,24 @@ class _WaveKernel:
     fresh temporaries.  The arithmetic runs on the band of the flattened
     grid from the first interior point to the last one, a contiguous slice
     that strided interior views are several times slower to sweep; the
-    band's boundary points get throwaway values and are then zeroed.  Two
-    band-sized scratch arrays and one grid-sized one are reused by every
-    step, so a kernel must not be shared between threads.
+    band's boundary points get throwaway values and are then zeroed.  One
+    band-sized scratch array and one grid-sized one are reused by every
+    step, and ``out``'s own band serves as the second scratch, so a kernel
+    must not be shared between threads.
+
+    A forward step sweeps only the part of the band that the source's light
+    cone can have reached.  The stencil reaches one grid line, the largest
+    flat stride, per step, so at ``step`` the candidate is the flat range of
+    ``step + 1`` lines either side of the source.  If both inputs are zero
+    bits outside it (an integer view, so -0.0, NaN and inf count as
+    nonzero), the step computes the candidate widened by one line and
+    writes +0.0 on the rest of the band; otherwise, or once that span
+    covers the band, it sweeps the whole band.  This is exact: a point
+    outside the span sees only +0.0 inputs, and with ``coeff`` finite and
+    positive the plain formulas give it +0.0, while the span holds the
+    source.  The adjoint always sweeps the whole band: its field starts on
+    the receiver line, and skipping its gradient update would change -0.0
+    and NaN results.
 
     ``forward`` and ``adjoint`` write every element of ``out``, which must
     be C-contiguous and must not overlap an input.
@@ -178,12 +204,10 @@ class _WaveKernel:
 
     def __init__(self, params: WaveParams):
         shape = params.shape
-        strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
-        lo = sum(strides)  # flat index of the first interior point
-        hi = math.prod(shape) - lo
-        self._band = slice(lo, hi)
-        # the two neighbours of each band point along each axis
-        self._pairs = [(slice(lo - st, hi - st), slice(lo + st, hi + st)) for st in strides]
+        self._strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
+        self._reach = self._strides[0]  # the farthest flat neighbour: one grid line
+        self._lo = sum(self._strides)  # flat index of the first interior point
+        self._hi = math.prod(shape) - self._lo
         self._faces = []
         for axis in range(len(shape)):
             for end in (0, -1):
@@ -196,36 +220,63 @@ class _WaveKernel:
         self.coeff = params.dt**2 / params.slowness_sq
         self._coeff = self.coeff.reshape(-1)
         self._source = params.source
+        self._origin = sum(c * st for c, st in zip(params.source, self._strides))
         self._amplitude = self.coeff[params.source] * np.asarray(params.wavelet, dtype=float)
         self.receivers = tuple(
             np.array(params.receivers, dtype=np.intp).reshape(-1, len(shape)).T
         )
-        self._a = _aligned_empty(hi - lo)
-        self._b = _aligned_empty(hi - lo)
+        self._a = _aligned_empty(self._hi - self._lo)
         self._grid = _aligned_empty(math.prod(shape))
+        self._full = self._span(self._lo, self._hi)
 
-    def _laplacian(self, u: np.ndarray) -> np.ndarray:
-        """lap(u) on the band of flat ``u``, in the first scratch array."""
-        a, b = self._a, self._b
+    def _span(self, lo: int, hi: int):
+        """Slices that sweep flat [lo, hi) of the band, and the band's rest.
+
+        Returns the span, each axis's pair of neighbour slices, the span's
+        part of the scratch array and the slices of the band outside it.
+        """
+        pairs = [(slice(lo - st, hi - st), slice(lo + st, hi + st)) for st in self._strides]
+        rest = (slice(self._lo, lo), slice(hi, self._hi))
+        quiet = tuple(s for s in rest if s.start < s.stop)
+        return slice(lo, hi), pairs, self._a[lo - self._lo : hi - self._lo], quiet
+
+    def _cone(self, u_prev: np.ndarray, u_curr: np.ndarray, step: int):
+        """The ``_span`` a forward ``step`` from flat inputs must sweep."""
+        reach = self._reach
+        near = (step + 1) * reach
+        lo, hi = self._origin - near, self._origin + near + 1
+        if lo - reach <= self._lo and hi + reach >= self._hi:
+            return self._full
+        for u in (u_prev, u_curr):
+            bits = u.view(f"i{u.itemsize}")
+            if np.count_nonzero(bits[: max(lo, 0)]) or np.count_nonzero(bits[hi:]):
+                return self._full
+        # start on a cache line of the scratch array, as the full band does:
+        # an unaligned span sweeps up to a fifth slower
+        start = max(lo - reach - self._lo, 0) // _LINE * _LINE + self._lo
+        return self._span(start, min(hi + reach, self._hi))
+
+    def _laplacian(self, u: np.ndarray, span, pairs, lap: np.ndarray, b: np.ndarray) -> None:
+        """lap(u) on ``span`` of flat ``u`` into ``lap``, ``b`` as scratch."""
         # per-axis pairs summed first: mirror images then produce bitwise
         # identical fields, which the symmetry checks rely on
-        (lo, hi), *rest = self._pairs
-        np.add(u[lo], u[hi], out=a)
+        (lo, hi), *rest = pairs
+        np.add(u[lo], u[hi], out=lap)
         for lo, hi in rest:
             np.add(u[lo], u[hi], out=b)
-            np.add(a, b, out=a)
-        np.multiply(u[self._band], self._centre, out=b)
-        np.subtract(a, b, out=a)
-        return np.divide(a, self._hh, out=a)
+            np.add(lap, b, out=lap)
+        np.multiply(u[span], self._centre, out=b)
+        np.subtract(lap, b, out=lap)
+        np.divide(lap, self._hh, out=lap)
 
-    def _leapfrog(
-        self, cur: np.ndarray, older: np.ndarray, lap: np.ndarray, out: np.ndarray
-    ) -> None:
-        """out = (2 cur - older) + lap on the interior, zero on the boundary."""
-        b, band = self._b, self._band
-        np.multiply(cur[band], 2.0, out=b)
-        np.subtract(b, older[band], out=b)
-        np.add(b, lap, out=out.reshape(-1)[band])
+    @staticmethod
+    def _leapfrog(cur: np.ndarray, older: np.ndarray, lap: np.ndarray, new: np.ndarray) -> None:
+        """new = (2 cur - older) + lap, all given on the same span."""
+        np.multiply(cur, 2.0, out=new)
+        np.subtract(new, older, out=new)
+        np.add(new, lap, out=new)
+
+    def _zero_faces(self, out: np.ndarray) -> None:
         for face in self._faces:
             out[face] = 0.0
 
@@ -233,10 +284,15 @@ class _WaveKernel:
         self, u_prev: np.ndarray, u_curr: np.ndarray, step: int, out: np.ndarray
     ) -> np.ndarray:
         """u after ``step`` into ``out``."""
-        u_curr = u_curr.reshape(-1)
-        lap = self._laplacian(u_curr)
-        np.multiply(self._coeff[self._band], lap, out=lap)
-        self._leapfrog(u_curr, u_prev.reshape(-1), lap, out)
+        u_prev, u_curr, flat = u_prev.reshape(-1), u_curr.reshape(-1), out.reshape(-1)
+        span, pairs, lap, quiet = self._cone(u_prev, u_curr, step)
+        new = flat[span]
+        self._laplacian(u_curr, span, pairs, lap, new)
+        np.multiply(self._coeff[span], lap, out=lap)
+        self._leapfrog(u_curr[span], u_prev[span], lap, new)
+        for rest in quiet:
+            flat[rest] = 0.0
+        self._zero_faces(out)
         out[self._source] += self._amplitude[step]
         return out
 
@@ -244,9 +300,12 @@ class _WaveKernel:
         self, lam: np.ndarray, lam_older: np.ndarray, residual, out: np.ndarray
     ) -> np.ndarray:
         """Exact transpose of ``forward`` with ``residual`` injected at the receivers."""
-        lam = lam.reshape(-1)
-        lap = self._laplacian(np.multiply(self._coeff, lam, out=self._grid))
-        self._leapfrog(lam, lam_older.reshape(-1), lap, out)
+        span, pairs, lap, _ = self._full
+        new = out.reshape(-1)[span]
+        field = np.multiply(self._coeff, lam.reshape(-1), out=self._grid)
+        self._laplacian(field, span, pairs, lap, new)
+        self._leapfrog(lam.reshape(-1)[span], lam_older.reshape(-1)[span], lap, new)
+        self._zero_faces(out)
         # unbuffered, so a receiver listed twice gets its residual twice
         np.add.at(out, self.receivers, residual)
         return out
@@ -369,7 +428,10 @@ def reference_adjoint(stepper: Stepper):
 
 
 # Forward steps left out of the calibrated step cost: they pay one-time
-# allocation and cache-warming costs that no later step sees.
+# allocation and cache-warming costs that no later step sees.  The steps
+# after them are not all alike either: a step's cost grows with the light
+# cone it sweeps until the cone covers the grid, so the median is one of
+# those costs, not a steady-state one.
 _CALIBRATION_WARMUP = 4
 # Codec round trips, and raw store copies, that ``calibrate`` times.
 _CALIBRATION_REPS = 5
@@ -381,7 +443,10 @@ def calibrate(
     """Cost-model parameters of ``stepper`` and ``codec``, measured, plus states.
 
     The step cost is the median seconds per forward step over one forward
-    sweep, warm-up left out.  The copy bandwidth comes from the median time
+    sweep, warm-up left out.  A step sweeps only the source's light cone,
+    so its cost grows over the early part of the sweep and the median
+    falls among those costs or, on a grid the cone covers within half the
+    sweep, among the full-grid ones.  The copy bandwidth comes from the median time
     of a ``NullCodec`` put of the final state, the read-only copy the store
     keeps of a raw checkpoint.  The states are the initial one, samples
     every quarter of the sweep and the final one, last.  ``codec`` is

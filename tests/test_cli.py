@@ -322,6 +322,7 @@ class TestRun:
         ["--budget", "nan"],
         ["--budget", "inf"],
         ["--codec", "quant", "--tolerance", "-1"],
+        ["--grid", "200x200x200"],
     ], ids=" ".join)
     def test_bad_value_refused_before_calibration(self, capsys, monkeypatch, flags):
         monkeypatch.setattr(driver, "calibrate", _must_not_run)

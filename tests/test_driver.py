@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -226,7 +227,7 @@ class TestWaveKernel:
     @pytest.mark.parametrize("shape", [(61,), (48, 40), (200, 200)])
     def test_workspace_is_cache_line_aligned(self, shape):
         kernel = driver.WaveStepper(driver.homogeneous_params(shape, nt=4))._kernel
-        for scratch in (kernel._a, kernel._b, kernel._grid):
+        for scratch in (kernel._a, kernel._grid):
             assert scratch.ctypes.data % 64 == 0
             assert scratch.flags.c_contiguous
 
@@ -255,6 +256,91 @@ class TestWaveKernel:
                 tracemalloc.stop()
         assert forward_peak <= 1.5 * state.nbytes
         assert adjoint_peak <= 3 * state[0].nbytes
+
+
+def plain_forward(params, u_prev, u_curr, step):
+    """The forward step evaluated by its plain formulas, with fresh temporaries."""
+    ndim = len(params.shape)
+    inner = (slice(1, -1),) * ndim
+    coeff = (params.dt**2 / params.slowness_sq)[inner]
+    pairs = []
+    for axis in range(ndim):
+        lo, hi = list(inner), list(inner)
+        lo[axis], hi[axis] = slice(None, -2), slice(2, None)
+        pairs.append(u_curr[tuple(lo)] + u_curr[tuple(hi)])
+    total = pairs[0]
+    for pair in pairs[1:]:
+        total = total + pair
+    lap = (total - u_curr[inner] * (2.0 * ndim)) / (params.spacing * params.spacing)
+    u_next = np.zeros(params.shape)
+    u_next[inner] = (u_curr[inner] * 2.0 - u_prev[inner]) + coeff * lap
+    source = params.dt**2 / params.slowness_sq[params.source]
+    u_next[params.source] += source * params.wavelet[step]
+    return u_next
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def trajectory(stepper, nt):
+    states = [stepper.initial_state()]
+    for i in range(nt):
+        states.append(stepper.forward(states[-1], i))
+    return states
+
+
+class TestLightCone:
+    """Forward steps sweep only the source's light cone, bit for bit."""
+
+    @pytest.mark.parametrize("shape,nt", [((48, 40), 60), ((61,), 80)])
+    def test_trajectory_steps_match_plain_formulas(self, shape, nt):
+        stepper = perturbed_problem(shape, nt)
+        states = trajectory(stepper, nt)
+        assert not states[0].any()  # step 0 starts from zeros
+        for i in range(nt):
+            want = plain_forward(stepper.params, states[i][0], states[i][1], i)
+            assert np.array_equal(bits(states[i + 1][1]), bits(want)), i
+            assert np.array_equal(bits(states[i + 1][0]), bits(states[i][1]))
+
+    @pytest.mark.parametrize("shape", [(48, 40), (61,)])
+    def test_any_state_matches_plain_formulas(self, shape):
+        params = perturbed_problem(shape, 20).params
+        rng = np.random.default_rng(7)
+        dense = rng.normal(size=(2, *shape))
+        line = np.zeros((2, *shape))
+        line[:, 2] = rng.normal(size=shape[1:])  # zero but for one line far from the source
+        states = [dense, line]
+        # outside any early cone: a boundary point in 2-D, interior points
+        for at in (3, np.ravel_multi_index((2,) * len(shape), shape)):
+            for special in (-0.0, np.nan, np.inf, -np.inf):
+                for level in (0, 1):
+                    quiet = np.zeros((2, *shape))
+                    quiet[level].reshape(-1)[at] = special
+                    states.append(quiet)
+        for step in (0, 1, 5):
+            # nonzero on both flat edges of the step's cone, which it spreads past
+            edges = np.zeros((2, *shape))
+            near = (step + 1) * math.prod(shape[1:])
+            origin = np.ravel_multi_index(params.source, shape)
+            edges[1].reshape(-1)[[origin - near, origin + near]] = rng.normal(size=2)
+            for k, state in enumerate([*states, edges]):
+                with np.errstate(invalid="ignore"):  # inf - inf in both
+                    out = driver.WaveStepper(params).forward(state, step)[1]
+                    want = plain_forward(params, state[0], state[1], step)
+                assert np.array_equal(bits(out), bits(want)), (step, k)
+
+    def test_early_steps_sweep_a_strict_sub_range_of_the_band(self):
+        stepper = perturbed_problem((48, 40), 60)
+        kernel = stepper._kernel
+        band, *_ = kernel._full
+        states = trajectory(stepper, 5)
+        span, *_ = kernel._cone(states[5][0].reshape(-1), states[5][1].reshape(-1), 5)
+        assert band.start < span.start <= span.stop < band.stop
+        far = states[5].copy()
+        far[1, 1, 1] = 1e-300
+        span, *_ = kernel._cone(far[0].reshape(-1), far[1].reshape(-1), 5)
+        assert span == band
 
 
 class TestExecutor:
@@ -354,6 +440,21 @@ class TestExecutor:
             with pytest.raises(ScheduleValidationError) as err:
                 schedule.schedule_stats(acts, n, 2)
             assert err.value.index == index, text
+
+
+def test_3d_grid_refused_before_its_medium_is_filled():
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(InvalidArgumentError):
+            driver.homogeneous_params((200, 200, 200), 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestCalibrate:
