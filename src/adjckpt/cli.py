@@ -4,8 +4,9 @@ Subcommands: advise, sweep, verify-schedule, profile-codec, run.
 Errors exit nonzero with one machine-parsable line on stderr:
 ``error: <category>: <detail>``.  A value breaking a model, store or codec
 rule is refused by that object, built before any work.  Argparse's usage
-message (exit 2) is left for text that does not parse, and for ``--slots``,
-``--reps`` and shape sizes, whose owners check them only after a simulation.
+message (exit 2) is left for text that does not parse, for ``--slots`` with
+``--budget``, and for ``--slots``, ``--reps`` and shape sizes, whose owners
+check them only after a simulation.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 # Planning commands load no numpy; profile-codec and run import it, with
@@ -20,10 +22,9 @@ from pathlib import Path
 from . import perfmodel, schedule
 from .errors import AdjCkptError, InvalidArgumentError
 
-RUN_HEADER = (
-    perfmodel.SWEEP_HEADER
-    + ",measured_plain_s,measured_combined_s,measured_speedup,profiled_ratio,profiled_tc_s,profiled_td_s"
-)
+MEASURED_COLUMNS = ("measured_plain_s", "measured_combined_s", "measured_speedup",
+                    "profiled_ratio", "profiled_tc_s", "profiled_td_s")
+RUN_HEADER = ",".join((perfmodel.SWEEP_HEADER, *MEASURED_COLUMNS))
 
 
 def _count(text: str) -> int:
@@ -38,27 +39,23 @@ def _shape(text: str) -> tuple[int, ...]:
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
+    """One flag per PerfParams field, each with that field as its ``dest``."""
     sub.add_argument("--nsteps", type=int, default=2500, help="number of forward steps")
     sub.add_argument("--state-bytes", type=float, default=900e6)
     sub.add_argument("--bandwidth", type=float, default=10e9, help="bytes/s")
-    sub.add_argument("--memory", type=float, default=8e9, help="checkpoint budget in bytes")
+    sub.add_argument("--memory", dest="memory_bytes", metavar="MEMORY", type=float,
+                     default=8e9, help="checkpoint budget in bytes")
     sub.add_argument("--step-cost", type=float, default=0.1, help="seconds per step")
     sub.add_argument("--ratio", type=float, default=42.0, help="compression ratio")
-    sub.add_argument("--tc", type=float, default=0.05, help="compress seconds per state")
-    sub.add_argument("--td", type=float, default=0.05, help="decompress seconds per state")
+    sub.add_argument("--tc", dest="compress_time", metavar="TC", type=float, default=0.05,
+                     help="compress seconds per state")
+    sub.add_argument("--td", dest="decompress_time", metavar="TD", type=float, default=0.05,
+                     help="decompress seconds per state")
 
 
 def _model_params(args) -> perfmodel.PerfParams:
-    return perfmodel.PerfParams(
-        step_cost=args.step_cost,
-        nsteps=args.nsteps,
-        state_bytes=args.state_bytes,
-        bandwidth=args.bandwidth,
-        memory_bytes=args.memory,
-        ratio=args.ratio,
-        compress_time=args.tc,
-        decompress_time=args.td,
-    )
+    names = (f.name for f in fields(perfmodel.PerfParams))
+    return perfmodel.PerfParams(**{name: getattr(args, name) for name in names})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -224,10 +221,8 @@ def cmd_run(args) -> int:
     runs = [[timed_run(m, cdc) for m, cdc in sides] for _ in range(_RUN_REPS)]
     measured_plain, measured_comb = map(min, zip(*runs))
 
-    csv = RUN_HEADER + "\n" + row.csv() + (
-        f",{measured_plain!r},{measured_comb!r},{measured_plain / measured_comb!r},"
-        f"{p.ratio!r},{p.compress_time!r},{p.decompress_time!r}\n"
-    )
+    measured = (measured_plain, measured_comb, measured_plain / measured_comb,
+                p.ratio, p.compress_time, p.decompress_time)  # MEASURED_COLUMNS
     grid = "x".join(map(str, args.grid))
     print(f"grid={grid} nt={params.nt} codec={args.codec} budget_bytes={budget:.6g}")
     print(f"m_plain={m_plain} m_compressed={m_comb} profiled_ratio={p.ratio:.3f}")
@@ -239,7 +234,7 @@ def cmd_run(args) -> int:
         f"measured: plain {measured_plain:.4f}s  combined {measured_comb:.4f}s  "
         f"speedup {measured_plain / measured_comb:.3f}"
     )
-    _emit(csv, args.out)
+    _emit(RUN_HEADER + "\n" + ",".join((row.csv(), *map(repr, measured))) + "\n", args.out)
     return 0
 
 
@@ -282,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("run", help="execute the toy benchmark, measured vs predicted")
     sub.add_argument("--grid", type=_shape, default="120x120", help="grid, e.g. 120x120 or 200")
     sub.add_argument("--nt", type=int, default=60, help="timestep count")
-    sub.add_argument("--slots", type=_count, default=3, help="uncompressed slot count; sets the budget")
-    sub.add_argument("--budget", type=float, help="budget bytes (default: --slots raw states, plus 1)")
+    size = sub.add_mutually_exclusive_group()
+    size.add_argument("--slots", type=_count, default=3, help="uncompressed slot count; sets the budget")
+    size.add_argument("--budget", type=float, help="budget bytes (default: --slots raw states, plus 1)")
     sub.add_argument("--codec", default="cast", choices=["null", "cast", "quant"])
     sub.add_argument("--tolerance", type=float, default=1e-6, help="absolute error bound (quant)")
     sub.add_argument("--out", help="CSV path (default stdout)")

@@ -467,7 +467,8 @@ def calibrate(
         times.append(time.perf_counter() - t0)
         if i % max(1, stepper.nsteps // 4) == 0:
             samples.append(state)
-    samples.append(state)
+    if samples[-1] is not state:  # the loop may have sampled the final state
+        samples.append(state)
     good = times[_CALIBRATION_WARMUP:] if len(times) > _CALIBRATION_WARMUP else times
     raw, null = CheckpointStore(state.nbytes), NullCodec()
     copies = []

@@ -7,14 +7,15 @@ extra steps (Revolve's count, ``schedule.recompute_count``), and every
 checkpoint write or read moves ``state_bytes`` across memory at
 ``bandwidth``.  Compression multiplies the slot count by ``ratio`` (so the
 replay count drops) but charges ``compress_time``/``decompress_time`` per
-write/read and shrinks each copy by the same ratio:
+write/read and shrinks each copy by the same ratio.  One formula prices a
+sweep with ``m`` slots:
 
-    t_naive    = 2 * step_cost * nsteps
-    t_revolve  = t_naive + p(N, m) * step_cost + (W + R) * S / B
-    t_combined = same, at the compressed slot count, with
-                 W * (S / (F B) + t_c) + R * (S / (F B) + t_d) as storage
+    t(m) = 2 * step_cost * nsteps + p(N, m) * step_cost
+           + W * (S / (F B) + t_c) + R * (S / (F B) + t_d)
 
 W and R are the write/read counts of the concrete generated schedule.
+Compressed checkpoints give ``t_combined``; plain ones give ``t_revolve``,
+the same formula for the zero-cost codec: F = 1 and t_c = t_d = 0.
 ``predict`` is the one place these terms are assembled: it returns each
 side split into forward, adjoint, recompute, copy, encode and decode time.
 ``evaluate`` is the one place a prediction becomes a ``SweepRow``; ``sweep``,
@@ -26,7 +27,7 @@ Speedup is quoted against the plain-checkpointing time, so values above
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 from .errors import InfeasibleConfigurationError, InvalidArgumentError
@@ -97,34 +98,39 @@ def t_naive(p: PerfParams) -> float:
 def slots(p: PerfParams, compressed: bool) -> int:
     """Checkpoint slots that fit in the memory budget."""
     per_state = p.state_bytes / p.ratio if compressed else p.state_bytes
-    count = math.floor(p.memory_bytes / per_state)
+    count = p.memory_bytes / per_state if per_state else math.inf  # S / F can underflow
+    if count == math.inf:
+        raise InvalidArgumentError(f"memory {p.memory_bytes:.3g} B holds no finite count of states")
     if count < 1:
         raise InfeasibleConfigurationError(
             f"memory {p.memory_bytes:.3g} B cannot hold even one "
             f"{'compressed ' if compressed else ''}state of {per_state:.3g} B"
         )
-    return count
+    return math.floor(count)
 
 
 def recompute_overhead(p: PerfParams, m: int) -> float:
     return recompute_count(p.nsteps, m) * p.step_cost
 
 
-def _storage(p: PerfParams, counts: ScheduleStats, compressed: bool) -> tuple[float, float, float]:
+def _plain(p: PerfParams) -> PerfParams:
+    """``p`` for plain checkpoints: the zero-cost codec at ratio 1."""
+    return replace(p, ratio=1.0, compress_time=0.0, decompress_time=0.0)
+
+
+def _storage(p: PerfParams, counts: ScheduleStats) -> tuple[float, float, float]:
     """(copy, encode, decode) seconds for the generated schedule's writes and reads."""
     w, r = counts.writes, counts.reads
-    if not compressed:
-        return (w + r) * p.state_bytes / p.bandwidth, 0.0, 0.0
     copy = (w + r) * p.state_bytes / (p.ratio * p.bandwidth)
     return copy, w * p.compress_time, r * p.decompress_time
 
 
 def storage_overhead_plain(p: PerfParams, m: int) -> float:
-    return sum(_storage(p, schedule_counts(p.nsteps, m), compressed=False))
+    return storage_overhead_compressed(_plain(p), m)
 
 
 def storage_overhead_compressed(p: PerfParams, m_compressed: int) -> float:
-    return sum(_storage(p, schedule_counts(p.nsteps, m_compressed), compressed=True))
+    return sum(_storage(p, schedule_counts(p.nsteps, m_compressed)))
 
 
 @dataclass(frozen=True)
@@ -143,17 +149,17 @@ class CostBreakdown:
         return self.forward + self.adjoint + self.recompute + self.copy + self.encode + self.decode
 
 
-def _breakdown(p: PerfParams, m: int, compressed: bool) -> CostBreakdown:
+def _breakdown(p: PerfParams, m: int) -> CostBreakdown:
     counts = schedule_counts(p.nsteps, m)  # one count of the schedule prices every term
     sweep_s = p.step_cost * p.nsteps
     recompute = counts.recompute_steps * p.step_cost
-    return CostBreakdown(sweep_s, sweep_s, recompute, *_storage(p, counts, compressed))
+    return CostBreakdown(sweep_s, sweep_s, recompute, *_storage(p, counts))
 
 
 def predict(p: PerfParams, m_plain: int, m_comb: int) -> tuple[CostBreakdown, CostBreakdown]:
     """Per-term predictions for plain checkpoints in ``m_plain`` slots and
     compressed ones in ``m_comb`` slots, in that order."""
-    return _breakdown(p, m_plain, compressed=False), _breakdown(p, m_comb, compressed=True)
+    return _breakdown(_plain(p), m_plain), _breakdown(p, m_comb)
 
 
 def classify_regime(p: PerfParams) -> RegimeReport:
@@ -182,9 +188,8 @@ def classify_regime(p: PerfParams) -> RegimeReport:
 # Sweeps behind the speedup figures
 # ---------------------------------------------------------------------------
 
-SWEEP_AXES = ("memory", "compute-cost", "nsteps")
-
-SWEEP_HEADER = "x,speedup,t_revolve_s,t_combined_s,m_plain,m_compressed,p_plain,p_compressed"
+_AXIS_FIELDS = {"memory": "memory_bytes", "compute-cost": "step_cost", "nsteps": "nsteps"}
+SWEEP_AXES = tuple(_AXIS_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -199,10 +204,10 @@ class SweepRow:
     p_compressed: int
 
     def csv(self) -> str:
-        return (
-            f"{self.x!r},{self.speedup!r},{self.t_revolve_s!r},{self.t_combined_s!r},"
-            f"{self.m_plain},{self.m_compressed},{self.p_plain},{self.p_compressed}"
-        )
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
+
+
+SWEEP_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def _axis_values(axis: str, lo: float, hi: float, samples: int) -> list[float]:
@@ -224,9 +229,11 @@ def _axis_values(axis: str, lo: float, hi: float, samples: int) -> list[float]:
 
 def evaluate(p: PerfParams, x: float, m_plain: int, m_comb: int) -> SweepRow:
     """The model's row for plain checkpoints in ``m_plain`` slots against
-    compressed ones in ``m_comb`` slots, labelled ``x``."""
+    compressed ones in ``m_comb`` slots, labelled ``x``, if its times are finite."""
     plain, comb = predict(p, m_plain, m_comb)
     tr, tc = plain.total, comb.total
+    if not (math.isfinite(tr) and math.isfinite(tc)):
+        raise InvalidArgumentError(f"predicted times {tr!r} s and {tc!r} s overflow a float")
     return SweepRow(
         x=x,
         speedup=tr / tc,
@@ -240,12 +247,7 @@ def evaluate(p: PerfParams, x: float, m_plain: int, m_comb: int) -> SweepRow:
 
 
 def _eval_point(p: PerfParams, axis: str, x: float) -> SweepRow:
-    if axis == "memory":
-        q = replace(p, memory_bytes=x)
-    elif axis == "compute-cost":
-        q = replace(p, step_cost=x)
-    else:
-        q = replace(p, nsteps=int(x))
+    q = replace(p, **{_AXIS_FIELDS[axis]: int(x) if axis == "nsteps" else x})
     return evaluate(q, x, slots(q, compressed=False), slots(q, compressed=True))
 
 

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,15 @@ def run_cli(capsys, *argv):
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("a bad flag value reached the work it should have stopped")
+
+
+def csv_rows(text):
+    """The rows of a CLI CSV as dicts, each with exactly one value per column."""
+    header, *lines = text.splitlines()
+    names = header.split(",")
+    rows = [line.split(",") for line in lines]
+    assert rows and all(len(cells) == len(names) for cells in rows)
+    return [dict(zip(names, cells)) for cells in rows]
 
 
 MODEL_FLAGS = [
@@ -238,12 +249,9 @@ class TestRun:
         )
         assert code == 0
         assert "model:" in out and "measured:" in out
-        lines = out_csv.read_text().splitlines()
-        assert lines[0] == cli.RUN_HEADER
-        cells = lines[1].split(",")
-        assert len(cells) == len(cli.RUN_HEADER.split(","))
-        assert float(cells[8]) > 0 and float(cells[9]) > 0
-        row = dict(zip(cli.RUN_HEADER.split(","), cells))
+        assert out_csv.read_text().splitlines()[0] == cli.RUN_HEADER
+        [row] = csv_rows(out_csv.read_text())
+        assert float(row["measured_plain_s"]) > 0 and float(row["measured_combined_s"]) > 0
         assert float(row["speedup"]) == float(row["t_revolve_s"]) / float(row["t_combined_s"])
         for m, p in (("m_plain", "p_plain"), ("m_compressed", "p_compressed")):
             assert int(row[p]) == schedule.recompute_count(18, min(int(row[m]), 18))
@@ -271,7 +279,7 @@ class TestRun:
         )
         assert code == 0
         assert "speedup 1.000" in next(ln for ln in out.splitlines() if ln.startswith("model:"))
-        row = dict(zip(cli.RUN_HEADER.split(","), out_csv.read_text().splitlines()[1].split(",")))
+        [row] = csv_rows(out_csv.read_text())
         assert float(row["speedup"]) == 1.0
         assert float(row["profiled_tc_s"]) == float(row["profiled_td_s"]) == 0.0
         assert row["m_plain"] == row["m_compressed"] == "2"
@@ -285,7 +293,7 @@ class TestRun:
             "--out", str(out_csv),
         )
         assert code == 0
-        row = dict(zip(cli.RUN_HEADER.split(","), out_csv.read_text().splitlines()[1].split(",")))
+        [row] = csv_rows(out_csv.read_text())
         assert int(row["m_plain"]) == k
 
     def test_budget_below_one_state_exits_2(self, capsys):
@@ -310,6 +318,13 @@ class TestRun:
         )
         assert code == 0
         assert "codec=quant" in out
+
+    def test_slots_and_budget_exclude_each_other(self, capsys, monkeypatch):
+        monkeypatch.setattr(driver, "calibrate", _must_not_run)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--slots", "2", "--budget", "1e6"])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_unknown_subcommand_rejected_before_work(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -364,6 +379,11 @@ class TestRun:
     ["profile-codec", "--codec", "rate", "--rate", "8"],
     ["advise", "--nsteps", "100000000000000000000000"],
     ["advise", "--nsteps", "2000000000"],
+    ["advise", "--ratio", "1e308"],
+    ["advise", "--state-bytes", "1e-300", "--memory", "1e300"],
+    ["advise", "--state-bytes", "5e-324", "--ratio", "2"],
+    ["advise", "--bandwidth", "1e-320"],
+    ["sweep", "--axis", "compute-cost", "--range", "1e-3:1:3", "--bandwidth", "1e-320"],
 ], ids=" ".join)
 def test_bad_shape_or_range_text_exits_2(capsys, argv):
     try:
@@ -387,3 +407,32 @@ def _readme_commands():
 @pytest.mark.parametrize("argv", list(_readme_commands()), ids=" ".join)
 def test_readme_command_parses(argv):
     cli.build_parser().parse_args(argv)
+
+
+def test_readme_documents_the_sweep_header():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert perfmodel.SWEEP_HEADER + "\n" in re.findall(r"```[a-z]*\n(.*?)```", text, re.S)
+
+
+@pytest.mark.parametrize("argv", [
+    ["advise", "--nsteps", "300", "--state-bytes", "1e6", "--memory", "4e6", "--ratio", "4"],
+    ["sweep", "--axis", "nsteps", "--range", "40:400:5", "--memory", "4.5e9", "--ratio", "4"],
+    ["run", "--grid", "20x20", "--nt", "8", "--slots", "2", "--codec", "quant"],
+    ["profile-codec", "--codec", "cast", "--shape", "16x16"],
+], ids=lambda argv: argv[0])
+def test_every_csv_row_fills_its_header(capsys, tmp_path, argv):
+    out = tmp_path / "out.csv"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0
+    rows = csv_rows(out.read_text())
+    assert len(rows) == (5 if argv[0] == "sweep" else 1)
+
+
+def test_each_model_field_has_one_flag():
+    parser = argparse.ArgumentParser()
+    cli._add_model_flags(parser)
+    dests = [a.dest for a in parser._actions if a.dest != "help"]
+    assert sorted(dests) == sorted(f.name for f in fields(perfmodel.PerfParams))
+    args = parser.parse_args(["--memory", "3e9", "--tc", "0.25", "--td", "0.5"])
+    p = cli._model_params(args)
+    assert (p.memory_bytes, p.compress_time, p.decompress_time) == (3e9, 0.25, 0.5)

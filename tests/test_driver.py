@@ -473,6 +473,20 @@ class TestCalibrate:
             final = stepper.forward(final, i)
         np.testing.assert_array_equal(samples[-1], final)
 
+    @pytest.mark.parametrize("nt", [3, 4, 5, 9, 12, 13])
+    def test_samples_are_distinct_states_first_to_last(self, nt):
+        # for nt - 1 a multiple of the sampling stride the loop samples the
+        # final state itself, which must then not be appended a second time
+        stepper = driver.WaveStepper(driver.homogeneous_params((16, 16), nt=nt))
+        _, samples = driver.calibrate(stepper, codecs.CastCodec(), 1e9)
+        assert len({id(s) for s in samples}) == len(samples)
+        np.testing.assert_array_equal(samples[0], stepper.initial_state())
+        final = stepper.initial_state()
+        for i in range(nt):
+            final = stepper.forward(final, i)
+        np.testing.assert_array_equal(samples[-1], final)
+        assert not np.array_equal(samples[-2], final)
+
     def test_codec_times_average_one_profile_per_sample(self, monkeypatch):
         profiled = []
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,15 @@ class TestBasics:
         with pytest.raises(InfeasibleConfigurationError):
             pm.slots(params(memory_bytes=1.0), compressed=True)
 
+    @pytest.mark.parametrize("over,compressed", [
+        (dict(ratio=1e308), True),
+        (dict(state_bytes=1e-300, memory_bytes=1e300), False),
+        (dict(state_bytes=5e-324, ratio=2.0), True),  # S / F underflows to 0
+    ])
+    def test_slots_refuses_an_infinite_count(self, over, compressed):
+        with pytest.raises(InvalidArgumentError, match="no finite count"):
+            pm.slots(params(**over), compressed=compressed)
+
     def test_compressed_trajectory_fits_at_threshold(self):
         p = params(memory_bytes=2500 * 900e6 / 42.0)
         assert pm.slots(p, compressed=True) >= 2500
@@ -72,6 +83,24 @@ class TestStorageOverheads:
 
 
 class TestTotals:
+    @pytest.mark.parametrize("m_plain,m_comb", [(8, 373), (3, 3), (2500, 2500)])
+    def test_plain_side_is_the_zero_cost_codec(self, m_plain, m_comb):
+        p = params()
+        zero_cost = replace(p, ratio=1.0, compress_time=0.0, decompress_time=0.0)
+        plain, _ = pm.predict(p, m_plain, m_comb)
+        assert plain == pm.predict(zero_cost, m_comb, m_plain)[1]
+        assert plain.encode == plain.decode == 0.0
+        assert pm.storage_overhead_plain(p, m_plain) == pm.storage_overhead_compressed(
+            zero_cost, m_plain
+        )
+
+    def test_evaluate_refuses_times_that_overflow(self):
+        p = params(bandwidth=1e-320)  # every copy takes inf seconds
+        with pytest.raises(InvalidArgumentError, match="overflow"):
+            pm.evaluate(p, p.memory_bytes, 8, 373)
+        with pytest.raises(InvalidArgumentError, match="overflow"):
+            pm.sweep(p, "memory", 2e9, 3e12, 5)
+
     def test_no_recompute_when_everything_fits(self):
         p = params(nsteps=50, memory_bytes=200 * 900e6)
         w, r = (lambda s: (s.writes, s.reads))(sched.schedule_counts(50, 50))
