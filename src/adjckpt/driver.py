@@ -10,11 +10,16 @@ slowness m.  Each operator (a ``WaveStepper``, or one ``simulate`` or
 ``adjoint_source_series`` call) computes its coefficients once and reuses
 one workspace for every step, yet every step returns fresh arrays, and the
 results are bit-identical to evaluating the plain formulas step by step.
-A forward step computes only the flat range of grid lines that the
-source's light cone can have reached, once it has checked that both
-inputs are zero bits outside it, and writes +0.0 on the rest, which is
-what the formulas give there; the sparse early steps of every sweep are
-therefore the cheap ones.
+Fields are stored with the axis along which the source and receivers are
+least spread (depth, when both sit near the surface) slowest in memory, so
+each light cone is one contiguous flat range of grid lines.  A forward
+step computes only the range the source's cone can have reached, an
+adjoint step only the range the receivers' cone can have reached since
+the reverse sweep began, and the gradient update only where both fields
+can be nonzero.  Each first checks that its inputs are zero bits outside
+that range and writes +0.0 on the rest, or keeps the gradient there,
+which is what the formulas give; so the early steps of the forward sweep
+and of the reverse sweep are the cheap ones.
 
 ``execute`` drives any ``Stepper`` through a schedule produced by the
 schedule module, pulling checkpoints from a ``CheckpointStore`` through a
@@ -161,6 +166,34 @@ def _aligned_empty(size: int) -> np.ndarray:
 
 # float64 values per 64-byte cache line
 _LINE = 8
+# the int64 view of -0.0, the least int64
+_NEGATIVE_ZERO = np.iinfo(np.int64).min
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def _outside(outer: slice, inner: slice) -> tuple[slice, ...]:
+    """The nonempty parts of flat range ``outer`` that flat range ``inner`` leaves out."""
+    parts = (
+        slice(outer.start, min(outer.stop, inner.start)),
+        slice(max(outer.start, inner.stop), outer.stop),
+    )
+    return tuple(p for p in parts if p.start < p.stop)
+
+
+def _zero_bits(parts: tuple[slice, ...], *fields: np.ndarray) -> bool:
+    """Whether every flat float64 field is zero bits on every part, so -0.0,
+    NaN and inf are not."""
+    for u in fields:
+        bits = u.view(np.uint64)
+        for p in parts:
+            if bits[p].max(initial=0):
+                return False
+    return True
+
+
+def _bounded(limit: float, parts: tuple[slice, ...], *fields: np.ndarray) -> bool:
+    """Whether every flat field lies in [-limit, limit] on every part, so NaN does not."""
+    return all(-limit <= u[p].min() and u[p].max() <= limit for u in fields for p in parts)
 
 
 class _WaveKernel:
@@ -174,92 +207,154 @@ class _WaveKernel:
         lap      = (sum over axes of (u[i-1] + u[i+1]) - 2 ndim u[i]) / h^2
         u_next   = (2 u - u_prev) + coeff lap, plus coeff[src] wavelet[step]
         lam_prev = (2 lam - lam_older) + lap(coeff lam), plus the residuals
+        gradient = gradient - lam_prev ((u_after - 2 u_at) + u_before) / m
 
     so the results are bit-identical to evaluating those formulas with
-    fresh temporaries.  The arithmetic runs on the band of the flattened
-    grid from the first interior point to the last one, a contiguous slice
-    that strided interior views are several times slower to sweep; the
-    band's boundary points get throwaway values and are then zeroed.  One
-    band-sized scratch array and one grid-sized one are reused by every
-    step, and ``out``'s own band serves as the second scratch, so a kernel
-    must not be shared between threads.
+    fresh temporaries.  The axes' pairs are summed in grid order, axis 0's
+    first, whatever the memory order.
 
-    A forward step sweeps only the part of the band that the source's light
-    cone can have reached.  The stencil reaches one grid line, the largest
-    flat stride, per step, so at ``step`` the candidate is the flat range of
-    ``step + 1`` lines either side of the source.  If both inputs are zero
-    bits outside it (an integer view, so -0.0, NaN and inf count as
-    nonzero), the step computes the candidate widened by one line and
+    Fields are stored with the axis along which the source and receivers
+    are least spread slowest in memory (depth, when the receivers spread
+    along the surface; axis 0 on a tie, which is C order); ``new`` makes the
+    grid-shaped views of such storage that states, adjoint fields and
+    gradients are, and an array in any other layout is copied into it once
+    on entry.
+    The arithmetic runs on the band of the flattened storage from the first
+    interior point to the last one, a contiguous slice that strided views
+    are several times slower to sweep; the band's boundary points get
+    throwaway values and are then zeroed.  One band-sized scratch array
+    and one grid-sized one are reused by every step, and ``out``'s own
+    band serves as the second scratch, so a kernel must not be shared
+    between threads.
+
+    Each step sweeps only the flat range its fields can be nonzero on.
+    The stencil reaches one grid line of the slowest axis, the largest flat
+    stride, per step, so the candidate for a forward ``step`` is ``step +
+    1`` lines either side of the source, and for the adjoint at ``step``
+    it is ``nt - step`` lines (one more than the adjoint steps taken)
+    either side of the receivers' flat extent.  If the step's two inputs
+    are zero bits outside the candidate (an integer view, so -0.0, NaN and
+    inf count as nonzero), it computes the candidate widened by one line,
+    the adjoint forming coeff lam only where the Laplacian reads it, and
     writes +0.0 on the rest of the band; otherwise, or once that span
     covers the band, it sweeps the whole band.  This is exact: a point
     outside the span sees only +0.0 inputs, and with ``coeff`` finite and
     positive the plain formulas give it +0.0, while the span holds the
-    source.  The adjoint always sweeps the whole band: its field starts on
-    the receiver line, and skipping its gradient update would change -0.0
-    and NaN results.
+    source and the receivers.
+
+    The gradient update leaves the gradient's bits alone wherever it
+    subtracts +0.0 or, when the gradient is not -0.0 there, -0.0.  Outside
+    the adjoint's span ``lam_prev`` is +0.0, and outside ``step + 2`` lines
+    of the source so is the other factor, once the three ``u`` are checked
+    to be zero bits there.  Where both factors are +0.0 the product is too,
+    so the update sweeps the hull of the two ranges, or the whole grid when
+    a ``u`` is not zero bits outside its range.  Where
+    only one factor is +0.0 the product is +-0.0 if the other is finite,
+    so the update sweeps just the overlap of the two ranges when, outside
+    it, the gradient holds no -0.0, ``lam_prev`` is finite and each ``u``
+    lies within ``_u_bound``, which keeps its factor finite.
 
     ``forward`` and ``adjoint`` write every element of ``out``, which must
-    be C-contiguous and must not overlap an input.
+    come from ``new`` and must not overlap an input.
     """
 
     def __init__(self, params: WaveParams):
         shape = params.shape
-        self._strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
-        self._reach = self._strides[0]  # the farthest flat neighbour: one grid line
-        self._lo = sum(self._strides)  # flat index of the first interior point
-        self._hi = math.prod(shape) - self._lo
+        ndim = len(shape)
+        points = np.array((params.source, *params.receivers))
+        slow = int(np.argmin(np.ptp(points, axis=0)))  # the first on a tie
+        self._perm = (slow, *(k for k in range(ndim) if k != slow))
+        self._memory_shape = tuple(shape[k] for k in self._perm)
+        axes = [self._perm.index(k) for k in range(ndim)]  # each grid axis's place in memory
+        # storage to grid order, after no leading axis and after one
+        self._to_grid = [(*range(n), *(n + a for a in axes)) for n in (0, 1)]
+        strides = [math.prod(self._memory_shape[k + 1 :]) for k in range(ndim)]
+        self._strides = [strides[a] for a in axes]  # flat stride of each grid axis
+        self._reach = strides[0]  # the farthest flat neighbour: one grid line
+        self._size = math.prod(shape)
+        self._all = slice(0, self._size)
+        self._lo = sum(strides)  # flat index of the first interior point
+        self._hi = self._size - self._lo
         self._faces = []
-        for axis in range(len(shape)):
+        for axis in range(ndim):
             for end in (0, -1):
-                face = [slice(None)] * len(shape)
+                face = [slice(None)] * ndim
                 face[axis] = end
                 self._faces.append(tuple(face))
-        self._centre = 2.0 * len(shape)
+        self._centre = 2.0 * ndim
         self._hh = params.spacing * params.spacing
-        self._slowness_sq = params.slowness_sq.reshape(-1)
+        self._nt = params.nt
+        self._slowness_sq = self._flat(params.slowness_sq)
+        # |u| <= _u_bound keeps ((u_after - 2 u_at) + u_before) / m finite
+        self._u_bound = _FLOAT_MAX / 8 * min(float(params.slowness_sq.min()), 1.0)
         self.coeff = params.dt**2 / params.slowness_sq
-        self._coeff = self.coeff.reshape(-1)
+        self._coeff = self._flat(self.coeff)
         self._source = params.source
-        self._origin = sum(c * st for c, st in zip(params.source, self._strides))
+        self._source_at = (self._at(params.source),) * 2
+        flat = [self._at(r) for r in params.receivers]
+        self._receivers_at = (min(flat, default=0), max(flat, default=0))
         self._amplitude = self.coeff[params.source] * np.asarray(params.wavelet, dtype=float)
         self.receivers = tuple(
-            np.array(params.receivers, dtype=np.intp).reshape(-1, len(shape)).T
+            np.array(params.receivers, dtype=np.intp).reshape(-1, ndim).T
         )
         self._a = _aligned_empty(self._hi - self._lo)
-        self._grid = _aligned_empty(math.prod(shape))
+        self._grid = _aligned_empty(self._size)
+        self._spans: dict[tuple[int, int], tuple] = {}
         self._full = self._span(self._lo, self._hi)
+
+    def new(self, *lead: int, zeros: bool = False) -> np.ndarray:
+        """A fresh array of shape ``(*lead, *grid)``, each grid laid out in memory order.
+
+        ``lead`` holds at most one axis.
+        """
+        raw = (np.zeros if zeros else np.empty)((*lead, *self._memory_shape))
+        return raw.transpose(self._to_grid[len(lead)])
+
+    def _flat(self, a: np.ndarray) -> np.ndarray:
+        """Grid-shaped ``a`` in memory order, flat: a view if ``new`` laid it out, else a copy."""
+        return a.transpose(self._perm).reshape(-1)
+
+    def _at(self, point: tuple[int, ...]) -> int:
+        return sum(c * st for c, st in zip(point, self._strides))
+
+    def _near(self, at: tuple[int, int], lines: int) -> slice:
+        """Flat range within ``lines`` grid lines of flat range [first, last] ``at``, in the grid."""
+        near = lines * self._reach
+        return slice(max(at[0] - near, 0), min(at[1] + near + 1, self._size))
 
     def _span(self, lo: int, hi: int):
         """Slices that sweep flat [lo, hi) of the band, and the band's rest.
 
         Returns the span, each axis's pair of neighbour slices, the span's
         part of the scratch array and the slices of the band outside it.
+        Each is made once: a sweep asks for the same spans step after step.
         """
-        pairs = [(slice(lo - st, hi - st), slice(lo + st, hi + st)) for st in self._strides]
-        rest = (slice(self._lo, lo), slice(hi, self._hi))
-        quiet = tuple(s for s in rest if s.start < s.stop)
-        return slice(lo, hi), pairs, self._a[lo - self._lo : hi - self._lo], quiet
+        made = self._spans.get((lo, hi))
+        if made is None:
+            pairs = [(slice(lo - st, hi - st), slice(lo + st, hi + st)) for st in self._strides]
+            span = slice(lo, hi)
+            rest = _outside(slice(self._lo, self._hi), span)
+            made = self._spans[lo, hi] = span, pairs, self._a[lo - self._lo : hi - self._lo], rest
+        return made
 
-    def _cone(self, u_prev: np.ndarray, u_curr: np.ndarray, step: int):
-        """The ``_span`` a forward ``step`` from flat inputs must sweep."""
+    def _cone(self, at: tuple[int, int], lines: int, *fields: np.ndarray):
+        """The ``_span`` a step must sweep if its flat ``fields`` can be
+        nonzero only within ``lines`` grid lines of flat range ``at``."""
         reach = self._reach
-        near = (step + 1) * reach
-        lo, hi = self._origin - near, self._origin + near + 1
-        if lo - reach <= self._lo and hi + reach >= self._hi:
+        near = self._near(at, lines)
+        if near.start - reach <= self._lo and near.stop + reach >= self._hi:
             return self._full
-        for u in (u_prev, u_curr):
-            bits = u.view(f"i{u.itemsize}")
-            if np.count_nonzero(bits[: max(lo, 0)]) or np.count_nonzero(bits[hi:]):
-                return self._full
+        if not _zero_bits(_outside(self._all, near), *fields):
+            return self._full
         # start on a cache line of the scratch array, as the full band does:
         # an unaligned span sweeps up to a fifth slower
-        start = max(lo - reach - self._lo, 0) // _LINE * _LINE + self._lo
-        return self._span(start, min(hi + reach, self._hi))
+        start = max(near.start - reach - self._lo, 0) // _LINE * _LINE + self._lo
+        return self._span(start, min(near.stop + reach, self._hi))
 
     def _laplacian(self, u: np.ndarray, span, pairs, lap: np.ndarray, b: np.ndarray) -> None:
         """lap(u) on ``span`` of flat ``u`` into ``lap``, ``b`` as scratch."""
-        # per-axis pairs summed first: mirror images then produce bitwise
-        # identical fields, which the symmetry checks rely on
+        # per-axis pairs summed first, in grid order: mirror images then
+        # produce bitwise identical fields, which the symmetry checks rely on
         (lo, hi), *rest = pairs
         np.add(u[lo], u[hi], out=lap)
         for lo, hi in rest:
@@ -284,8 +379,8 @@ class _WaveKernel:
         self, u_prev: np.ndarray, u_curr: np.ndarray, step: int, out: np.ndarray
     ) -> np.ndarray:
         """u after ``step`` into ``out``."""
-        u_prev, u_curr, flat = u_prev.reshape(-1), u_curr.reshape(-1), out.reshape(-1)
-        span, pairs, lap, quiet = self._cone(u_prev, u_curr, step)
+        u_prev, u_curr, flat = self._flat(u_prev), self._flat(u_curr), self._flat(out)
+        span, pairs, lap, quiet = self._cone(self._source_at, step + 1, u_prev, u_curr)
         new = flat[span]
         self._laplacian(u_curr, span, pairs, lap, new)
         np.multiply(self._coeff[span], lap, out=lap)
@@ -297,34 +392,84 @@ class _WaveKernel:
         return out
 
     def adjoint(
-        self, lam: np.ndarray, lam_older: np.ndarray, residual, out: np.ndarray
-    ) -> np.ndarray:
-        """Exact transpose of ``forward`` with ``residual`` injected at the receivers."""
-        span, pairs, lap, _ = self._full
-        new = out.reshape(-1)[span]
-        field = np.multiply(self._coeff, lam.reshape(-1), out=self._grid)
+        self, lam: np.ndarray, lam_older: np.ndarray, residual, step: int, out: np.ndarray
+    ) -> slice:
+        """Exact transpose of ``forward`` with ``residual`` injected at the receivers.
+
+        Returns the flat span it swept: ``out`` is +0.0 outside it.
+        """
+        lam, lam_older, flat = self._flat(lam), self._flat(lam_older), self._flat(out)
+        span, pairs, lap, quiet = self._cone(self._receivers_at, self._nt - step, lam, lam_older)
+        # what the Laplacian reads, from a cache line: an unaligned product
+        # takes twice as long
+        read = slice((span.start - self._reach) // _LINE * _LINE, span.stop + self._reach)
+        field = self._grid
+        np.multiply(self._coeff[read], lam[read], out=field[read])
+        new = flat[span]
         self._laplacian(field, span, pairs, lap, new)
-        self._leapfrog(lam.reshape(-1)[span], lam_older.reshape(-1)[span], lap, new)
+        self._leapfrog(lam[span], lam_older[span], lap, new)
+        for rest in quiet:
+            flat[rest] = 0.0
         self._zero_faces(out)
         # unbuffered, so a receiver listed twice gets its residual twice
         np.add.at(out, self.receivers, residual)
-        return out
+        return span
 
     def gradient(
         self,
         gradient: np.ndarray,
         lam_prev: np.ndarray,
+        lam_span: slice,
         u_before: np.ndarray,
         u_at: np.ndarray,
         u_after: np.ndarray,
+        step: int,
     ) -> np.ndarray:
-        """Fresh gradient - lam_prev * (u_after - 2 u_at + u_before) / m."""
-        t = np.multiply(u_at.reshape(-1), 2.0, out=self._grid)
-        np.subtract(u_after.reshape(-1), t, out=t)
-        np.add(t, u_before.reshape(-1), out=t)
-        np.divide(t, self._slowness_sq, out=t)
-        np.multiply(lam_prev.reshape(-1), t, out=t)
-        return np.subtract(gradient, t.reshape(gradient.shape))
+        """Fresh gradient - lam_prev * ((u_after - 2 u_at) + u_before) / m.
+
+        ``lam_prev`` comes from the adjoint at ``step``, which swept ``lam_span``.
+        """
+        g, lam = self._flat(gradient), self._flat(lam_prev)
+        us = [self._flat(u) for u in (u_after, u_at, u_before)]
+        span = self._update_span(g, lam, lam_span, step, us)
+        out = self.new()
+        flat = self._flat(out)
+        flat[: span.start] = g[: span.start]
+        flat[span.stop :] = g[span.stop :]
+        u_after, u_at, u_before = (u[span] for u in us)
+        t = np.multiply(u_at, 2.0, out=self._grid[span])
+        np.subtract(u_after, t, out=t)
+        np.add(t, u_before, out=t)
+        np.divide(t, self._slowness_sq[span], out=t)
+        np.multiply(lam[span], t, out=t)
+        np.subtract(g[span], t, out=flat[span])
+        return out
+
+    def _update_span(
+        self, g: np.ndarray, lam: np.ndarray, lam_span: slice, step: int, us: list[np.ndarray]
+    ) -> slice:
+        """The flat range a gradient update must sweep (see the class docstring)."""
+        cone = self._near(self._source_at, step + 2)
+        if not _zero_bits(_outside(self._all, cone), *us):
+            cone = self._all
+        hull = slice(min(lam_span.start, cone.start), max(lam_span.stop, cone.stop))
+        lo, hi = max(lam_span.start, cone.start), min(lam_span.stop, cone.stop)
+        # a part no longer than the band's margin, a grid line and a point,
+        # costs more to check than to sweep
+        if lo - hull.start <= self._lo:
+            lo = hull.start
+        if hull.stop - hi <= self._lo:
+            hi = hull.stop
+        both = slice(lo, max(lo, hi))
+        bits = g.view(np.int64)
+        exact = (
+            all(bits[p].min() != _NEGATIVE_ZERO for p in _outside(hull, both))
+            and _bounded(_FLOAT_MAX, _outside(lam_span, both), lam)
+            and _bounded(self._u_bound, _outside(cone, both), *us)
+        )
+        span = both if exact else hull
+        # from a cache line, as the steps' spans start
+        return slice(span.start // _LINE * _LINE, span.stop)
 
 
 def misfit(d_sim: np.ndarray, d_obs: np.ndarray) -> float:
@@ -336,7 +481,7 @@ def misfit(d_sim: np.ndarray, d_obs: np.ndarray) -> float:
 def simulate(params: WaveParams) -> np.ndarray:
     """Forward sweep recording receivers; row i holds the data after step i."""
     kernel = _WaveKernel(params)
-    u_prev, u_curr, u_next = (np.zeros(params.shape) for _ in range(3))
+    u_prev, u_curr, u_next = (kernel.new(zeros=True) for _ in range(3))
     data = np.zeros((params.nt, len(params.receivers)))
     for i in range(params.nt):
         kernel.forward(u_prev, u_curr, i, u_next)
@@ -390,14 +535,14 @@ class WaveStepper:
         self._kernel = _WaveKernel(params)
 
     def initial_state(self) -> np.ndarray:
-        return np.zeros((2, *self.params.shape))
+        return self._kernel.new(2, zeros=True)
 
     def initial_adjoint(self) -> WaveAdjoint:
-        z = np.zeros(self.params.shape)
-        return WaveAdjoint(z, z.copy(), np.zeros(self.params.shape), 0.0)
+        new = self._kernel.new
+        return WaveAdjoint(new(zeros=True), new(zeros=True), new(zeros=True), 0.0)
 
     def forward(self, state: np.ndarray, step: int) -> np.ndarray:
-        out = np.empty_like(state, order="C")
+        out = self._kernel.new(2)
         out[0] = state[1]
         self._kernel.forward(state[0], state[1], step, out[1])
         return out
@@ -409,9 +554,9 @@ class WaveStepper:
         u_after = state_next[1]
         kernel = self._kernel
         residual = u_after[kernel.receivers] - self.d_obs[step]
-        lam_prev = np.empty_like(adj.lam, order="C")
-        kernel.adjoint(adj.lam, adj.lam_older, residual, lam_prev)
-        gradient = kernel.gradient(adj.gradient, lam_prev, u_before, u_at, u_after)
+        lam_prev = kernel.new()
+        span = kernel.adjoint(adj.lam, adj.lam_older, residual, step, lam_prev)
+        gradient = kernel.gradient(adj.gradient, lam_prev, span, u_before, u_at, u_after, step)
         mis = adj.misfit_value + 0.5 * float(residual @ residual)
         return WaveAdjoint(lam_prev, adj.lam, gradient, mis)
 
@@ -430,8 +575,8 @@ def reference_adjoint(stepper: Stepper):
 # Forward steps left out of the calibrated step cost: they pay one-time
 # allocation and cache-warming costs that no later step sees.  The steps
 # after them are not all alike either: a step's cost grows with the light
-# cone it sweeps until the cone covers the grid, so the median is one of
-# those costs, not a steady-state one.
+# cone it sweeps, along the slowest axis in memory, until the cone covers
+# the grid, so the median is one of those costs, not a steady-state one.
 _CALIBRATION_WARMUP = 4
 # Codec round trips, and raw store copies, that ``calibrate`` times.
 _CALIBRATION_REPS = 5
@@ -443,10 +588,14 @@ def calibrate(
     """Cost-model parameters of ``stepper`` and ``codec``, measured, plus states.
 
     The step cost is the median seconds per forward step over one forward
-    sweep, warm-up left out.  A step sweeps only the source's light cone,
-    so its cost grows over the early part of the sweep and the median
-    falls among those costs or, on a grid the cone covers within half the
-    sweep, among the full-grid ones.  The copy bandwidth comes from the median time
+    sweep, warm-up left out.  A step sweeps only the source's light cone
+    along the slowest axis in memory, so its cost grows until the cone
+    covers the grid, and the median falls among the growing costs unless
+    the cone covers the grid within the first half of the sweep (on a
+    square grid, the cone from a centred source does so after half the
+    grid's side in steps).  The adjoint steps, priced at this cost too,
+    sweep the receivers' cone, which grows over the reverse sweep.  The
+    copy bandwidth comes from the median time
     of a ``NullCodec`` put of the final state, the read-only copy the store
     keeps of a raw checkpoint.  The states are the initial one, samples
     every quarter of the sweep and the final one, last.  ``codec`` is
@@ -499,10 +648,10 @@ def adjoint_source_series(params: WaveParams, residuals: np.ndarray) -> np.ndarr
     """Transpose of ``simulate``: data-space residuals back to source amplitudes."""
     residuals = np.asarray(residuals, dtype=float)
     kernel = _WaveKernel(params)
-    lam, lam_older, lam_prev = (np.zeros(params.shape) for _ in range(3))
+    lam, lam_older, lam_prev = (kernel.new(zeros=True) for _ in range(3))
     out = np.zeros(params.nt)
     for i in reversed(range(params.nt)):
-        kernel.adjoint(lam, lam_older, residuals[i], lam_prev)
+        kernel.adjoint(lam, lam_older, residuals[i], i, lam_prev)
         out[i] = kernel.coeff[params.source] * lam_prev[params.source]
         lam, lam_older, lam_prev = lam_prev, lam, lam_older
     return out
@@ -552,7 +701,9 @@ class _Sweep(ScheduleBackend):
 
     It holds the live state array, the upper state array and the adjoint;
     which step each array belongs to is the interpreter's business.  The
-    store is reached only through ``put``/``get``/``free``.
+    store is reached only through ``put``/``get``/``free``.  A decoded
+    checkpoint comes back C-ordered; it is copied once into the layout of
+    the stepper's initial state, so no step that reads it lays it out again.
     """
 
     def __init__(self, stepper: Stepper, store: CheckpointStore, codec: Codec):
@@ -560,6 +711,7 @@ class _Sweep(ScheduleBackend):
         self.ckpts = store
         self.codec = codec
         self.cur = stepper.initial_state()
+        self.like = self.cur  # the layout of the stepper's states
         self.upper: np.ndarray | None = None
         self.adj = stepper.initial_adjoint()
 
@@ -567,7 +719,12 @@ class _Sweep(ScheduleBackend):
         self.ckpts.put(slot, state, self.cur, self.codec)
 
     def restore(self, slot: int, state: int) -> None:
-        _, self.cur = self.ckpts.get(slot, self.codec)
+        _, cur = self.ckpts.get(slot, self.codec)
+        if cur.strides != self.like.strides:
+            laid = np.empty_like(self.like)
+            laid[...] = cur
+            cur = laid
+        self.cur = cur
 
     def discard(self, slot: int) -> None:
         self.ckpts.free(slot)

@@ -5,9 +5,10 @@ lifetime.  It enforces the byte budget the performance model reasons about,
 so an over-budget put fails loudly instead of silently dropping data.
 
 Raw checkpoints stay arrays: a ``NullCodec`` put keeps a read-only copy of
-the state, which ``get`` hands back as it is, with no envelope and no
-checksum.  Only the other codecs' checkpoints are blobs, made by ``encode``
-and checked by ``decode``.
+the state in the state's own memory order, which ``get`` hands back as it
+is, with no envelope and no checksum, so a state stored depth-major comes
+back depth-major.  Only the other codecs' checkpoints are blobs, made by
+``encode`` and checked by ``decode``.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ class CheckpointStore:
     """Holds checkpoints in numbered slots under a hard byte budget.
 
     A slot holds its step, its checkpoint and the checkpoint's size.  A
-    ``NullCodec`` checkpoint is a C-contiguous, read-only copy of the state
-    and its size is ``nbytes``; any other codec's is the encoded blob and
-    its size is the blob's length.  ``bytes_used`` is the sum of the sizes.
+    ``NullCodec`` checkpoint is a read-only copy of the state, contiguous in
+    the state's memory order (C order for a C-ordered state), and its size
+    is ``nbytes``; any other codec's is the encoded blob and its size is
+    the blob's length.  ``bytes_used`` is the sum of the sizes.
     """
 
     def __init__(self, budget_bytes: int | float):
@@ -64,7 +66,7 @@ class CheckpointStore:
         if old is not None and not overwrite:
             raise InvalidArgumentError(f"slot {slot} occupied; pass overwrite=True to replace")
         if isinstance(codec, NullCodec):
-            data = np.array(fieldval, order="C")
+            data = np.array(fieldval, order="K")
             data.setflags(write=False)
             size = data.nbytes
         else:

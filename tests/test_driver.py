@@ -258,25 +258,60 @@ class TestWaveKernel:
         assert adjoint_peak <= 3 * state[0].nbytes
 
 
-def plain_forward(params, u_prev, u_curr, step):
-    """The forward step evaluated by its plain formulas, with fresh temporaries."""
+def plain_laplacian(params, u):
+    """The interior Laplacian of ``u`` by its plain formula, with fresh temporaries."""
     ndim = len(params.shape)
     inner = (slice(1, -1),) * ndim
-    coeff = (params.dt**2 / params.slowness_sq)[inner]
     pairs = []
     for axis in range(ndim):
         lo, hi = list(inner), list(inner)
         lo[axis], hi[axis] = slice(None, -2), slice(2, None)
-        pairs.append(u_curr[tuple(lo)] + u_curr[tuple(hi)])
+        pairs.append(u[tuple(lo)] + u[tuple(hi)])
     total = pairs[0]
     for pair in pairs[1:]:
         total = total + pair
-    lap = (total - u_curr[inner] * (2.0 * ndim)) / (params.spacing * params.spacing)
+    return (total - u[inner] * (2.0 * ndim)) / (params.spacing * params.spacing)
+
+
+def plain_forward(params, u_prev, u_curr, step):
+    """The forward step evaluated by its plain formulas, with fresh temporaries."""
+    inner = (slice(1, -1),) * len(params.shape)
+    coeff = (params.dt**2 / params.slowness_sq)[inner]
+    lap = plain_laplacian(params, u_curr)
     u_next = np.zeros(params.shape)
     u_next[inner] = (u_curr[inner] * 2.0 - u_prev[inner]) + coeff * lap
     source = params.dt**2 / params.slowness_sq[params.source]
     u_next[params.source] += source * params.wavelet[step]
     return u_next
+
+
+def plain_adjoint(params, lam, lam_older, residual):
+    """The adjoint step evaluated by its plain formulas, with fresh temporaries."""
+    inner = (slice(1, -1),) * len(params.shape)
+    lap = plain_laplacian(params, (params.dt**2 / params.slowness_sq) * lam)
+    lam_prev = np.zeros(params.shape)
+    lam_prev[inner] = (lam[inner] * 2.0 - lam_older[inner]) + lap
+    np.add.at(lam_prev, tuple(np.array(params.receivers).T), residual)
+    return lam_prev
+
+
+def plain_gradient(params, gradient, lam_prev, u_before, u_at, u_after):
+    """The gradient update evaluated by its plain formula, with fresh temporaries."""
+    return gradient - lam_prev * (((u_after - u_at * 2.0) + u_before) / params.slowness_sq)
+
+
+def assert_adjoint_matches_plain_formulas(stepper, adj, state, state_next, step, label=None):
+    """``stepper.adjoint``'s lam and gradient against the plain formulas, bit for bit."""
+    params = stepper.params
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, NaN and inf * 0
+        new = stepper.adjoint(adj, state, state_next, step)
+        residual = state_next[1][tuple(np.array(params.receivers).T)] - stepper.d_obs[step]
+        lam = plain_adjoint(params, adj.lam, adj.lam_older, residual)
+        gradient = plain_gradient(params, adj.gradient, lam, state[0], state[1], state_next[1])
+    assert np.array_equal(bits(new.lam), bits(lam)), (step, label)
+    assert np.array_equal(bits(new.gradient), bits(gradient)), (step, label)
+    assert new.lam_older is adj.lam
+    return new
 
 
 def bits(a):
@@ -334,13 +369,211 @@ class TestLightCone:
         stepper = perturbed_problem((48, 40), 60)
         kernel = stepper._kernel
         band, *_ = kernel._full
-        states = trajectory(stepper, 5)
-        span, *_ = kernel._cone(states[5][0].reshape(-1), states[5][1].reshape(-1), 5)
+
+        def flat(*arrays):
+            views = [kernel._flat(a) for a in arrays]
+            assert all(np.shares_memory(v, a) for v, a in zip(views, arrays))
+            return views
+
+        states = trajectory(stepper, 60)
+        # forward step 5 checks its inputs against the source's cone of 6 lines
+        span, *_ = kernel._cone(kernel._source_at, 6, *flat(*states[5]))
         assert band.start < span.start <= span.stop < band.stop
-        far = states[5].copy()
+        far = np.copy(states[5])
         far[1, 1, 1] = 1e-300
-        span, *_ = kernel._cone(far[0].reshape(-1), far[1].reshape(-1), 5)
+        span, *_ = kernel._cone(kernel._source_at, 6, *flat(*far))
         assert span == band
+
+        # the adjoint at step 54, after five steps of the reverse sweep,
+        # checks its inputs against the receivers' cone of 60 - 54 lines
+        adj = stepper.initial_adjoint()
+        for i in range(59, 54, -1):
+            adj = stepper.adjoint(adj, states[i], states[i + 1], i)
+        span, *_ = kernel._cone(kernel._receivers_at, 6, *flat(adj.lam, adj.lam_older))
+        assert band.start < span.start <= span.stop < band.stop
+        far = np.copy(adj.lam_older)
+        far[1, 1] = 1e-300
+        span, *_ = kernel._cone(kernel._receivers_at, 6, *flat(adj.lam, far))
+        assert span == band
+
+        # its gradient update sweeps the adjoint's span, not the whole grid,
+        # unless the gradient holds -0.0 where only one factor is +0.0
+        lam_prev = kernel.new()
+        residual = np.zeros(len(stepper.params.receivers))
+        lam_span = kernel.adjoint(adj.lam, adj.lam_older, residual, 54, lam_prev)
+        us = flat(states[55][1], states[54][1], states[54][0])
+        g = np.copy(adj.gradient)
+        update = kernel._update_span(*flat(g, lam_prev), lam_span, 54, us)
+        assert 0 < update.start <= update.stop < g.size
+        g[-2, -2] = -0.0
+        update = kernel._update_span(*flat(g, lam_prev), lam_span, 54, us)
+        assert update == slice(0, g.size)
+
+    # (12, 40) spreads its receivers less along axis 0 than in depth, so
+    # its kernel keeps C order
+    @pytest.mark.parametrize("shape,nt", [((48, 40), 60), ((61,), 80), ((12, 40), 30)])
+    def test_reverse_sweep_matches_plain_formulas(self, shape, nt):
+        stepper = perturbed_problem(shape, nt)
+        states = trajectory(stepper, nt)
+        assert (stepper._kernel._perm == (0, 1)) == (shape == (12, 40))
+        for i in range(nt):
+            want = plain_forward(stepper.params, states[i][0], states[i][1], i)
+            assert np.array_equal(bits(states[i + 1][1]), bits(want)), i
+        adj = stepper.initial_adjoint()
+        for i in reversed(range(nt)):
+            adj = assert_adjoint_matches_plain_formulas(stepper, adj, states[i], states[i + 1], i)
+
+    @pytest.mark.parametrize("shape", [(48, 40), (61,), (12, 40)])
+    def test_any_adjoint_state_matches_plain_formulas(self, shape):
+        nt = 20
+        stepper = perturbed_problem(shape, nt)
+        kernel = stepper._kernel
+        rng = np.random.default_rng(11)
+        states = trajectory(stepper, nt)
+        adjs = {nt - 1: stepper.initial_adjoint()}
+        for i in reversed(range(1, nt)):
+            adjs[i - 1] = stepper.adjoint(adjs[i], states[i], states[i + 1], i)
+        names = ("lam", "lam_older", "gradient", "u_before", "u_at", "u_after")
+
+        def case(step, fields, label):
+            lam, lam_older, gradient, u_before, u_at, u_after = fields
+            adj = driver.WaveAdjoint(lam, lam_older, gradient, 0.0)
+            state, state_next = np.stack([u_before, u_at]), np.stack([u_at, u_after])
+            assert_adjoint_matches_plain_formulas(stepper, adj, state, state_next, step, label)
+
+        def native(a):
+            out = kernel.new()
+            out[...] = a
+            return out
+
+        for step in (0, 1, nt // 2, nt - 2, nt - 1):
+            adj, state, state_next = adjs[step], states[step], states[step + 1]
+            track = [adj.lam, adj.lam_older, adj.gradient, state[0], state[1], state_next[1]]
+            zeros = [np.zeros(shape) for _ in names]
+            case(step, [rng.normal(size=shape) for _ in names], "dense")
+            for k, name in enumerate(names):
+                for base in (track, zeros):
+                    # zero but for one line at the far end of the depth axis
+                    fields = [native(f) for f in base]
+                    fields[k][..., -2] = rng.normal(size=shape[:-1])
+                    case(step, fields, (name, "line"))
+                # special values at points all along the depth axis, inside
+                # and outside each cone
+                for depth in range(shape[-1]):
+                    for special in (-0.0, np.nan, np.inf, -np.inf):
+                        fields = [native(f) for f in track]
+                        fields[k][(3,) * (len(shape) - 1) + (depth,)] = special
+                        case(step, fields, (name, depth, special))
+            # nonzeros on both flat edges of each cone, which the steps spread past
+            receivers, source = (kernel._receivers_at, nt - step), (kernel._source_at, step + 2)
+            for k, cone in enumerate([receivers, receivers, None, source, source, source]):
+                if cone is None:  # the gradient
+                    continue
+                at, lines = cone
+                fields = [native(f) for f in zeros]
+                flat = kernel._flat(fields[k])
+                for edge in (at[0] - lines * kernel._reach, at[1] + lines * kernel._reach):
+                    if kernel._lo <= edge < kernel._hi:
+                        flat[edge] = rng.normal()
+                case(step, fields, (names[k], "edges"))
+
+    @pytest.mark.parametrize("shape", [(48, 40), (61,)])
+    def test_depth_cone_edges_match_plain_formulas(self, shape):
+        stepper = perturbed_problem(shape, 20)
+        kernel = stepper._kernel
+        rng = np.random.default_rng(5)
+        for step in (0, 1, 5):
+            # nonzero on both flat edges of the step's cone, which it spreads past
+            near = (step + 1) * kernel._reach
+            for level in (0, 1):
+                state = stepper.initial_state()
+                flat = kernel._flat(state[level])
+                flat[[kernel._source_at[0] - near, kernel._source_at[0] + near]] = rng.normal(size=2)
+                out = stepper.forward(state, step)[1]
+                want = plain_forward(stepper.params, state[0], state[1], step)
+                assert np.array_equal(bits(out), bits(want)), (step, level)
+
+
+class TestLayout:
+    """States, adjoint fields and gradients are grid-shaped views of memory-order storage."""
+
+    @pytest.mark.parametrize("shape,nt", [((48, 40), 30), ((61,), 30)])
+    def test_outputs_are_grid_shaped_with_c_order_bytes(self, shape, nt):
+        stepper = perturbed_problem(shape, nt)
+        states = trajectory(stepper, nt)
+        assert states[0].shape == (2, *shape)
+        if len(shape) == 2:  # receivers spread along axis 0: depth is slowest in memory
+            assert np.argmax(states[0].strides[1:]) == 1
+            assert np.argmax(states[-1].strides[1:]) == 1
+        for i in range(nt):
+            assert states[i + 1].shape == (2, *shape)
+            want = np.stack([states[i][1], plain_forward(stepper.params, *states[i], i)])
+            assert states[i + 1].tobytes() == want.tobytes()
+        adj = stepper.initial_adjoint()
+        for a in (adj.lam, adj.lam_older, adj.gradient):
+            assert a.shape == shape and not a.any()
+        receivers = tuple(np.array(stepper.params.receivers).T)
+        for i in reversed(range(nt)):
+            new = stepper.adjoint(adj, states[i], states[i + 1], i)
+            assert new.lam.shape == new.gradient.shape == shape
+            residual = states[i + 1][1][receivers] - stepper.d_obs[i]
+            lam = plain_adjoint(stepper.params, adj.lam, adj.lam_older, residual)
+            assert new.lam.tobytes() == lam.tobytes()
+            adj = new
+
+    @pytest.mark.parametrize("shape,nt", [((48, 40), 30), ((61,), 30)])
+    def test_c_ordered_inputs_give_the_same_bits(self, shape, nt):
+        stepper = perturbed_problem(shape, nt)
+        states = trajectory(stepper, nt)
+        c_order = [np.ascontiguousarray(s) for s in states]
+        for i in range(nt):
+            assert np.array_equal(bits(stepper.forward(c_order[i], i)), bits(states[i + 1]))
+        adj = stepper.initial_adjoint()
+        for i in reversed(range(nt)):
+            copy = driver.WaveAdjoint(
+                *(np.ascontiguousarray(a) for a in (adj.lam, adj.lam_older, adj.gradient)),
+                adj.misfit_value,
+            )
+            from_c = stepper.adjoint(copy, c_order[i], c_order[i + 1], i)
+            adj = stepper.adjoint(adj, states[i], states[i + 1], i)
+            assert np.array_equal(bits(from_c.lam), bits(adj.lam))
+            assert np.array_equal(bits(from_c.gradient), bits(adj.gradient))
+            assert from_c.misfit_value == adj.misfit_value
+
+    def test_a_sweep_lays_out_decoded_checkpoints_as_its_states(self):
+        # a decoded checkpoint is C-ordered; the sweep gives it the layout
+        # of the stepper's own states before any step reads it
+        stepper = perturbed_problem((48, 40), 30)
+        like = stepper.initial_state().strides
+        seen = []
+
+        class Recording:
+            nsteps = stepper.nsteps
+            initial_state = stepper.initial_state
+            initial_adjoint = stepper.initial_adjoint
+
+            def forward(self, state, step):
+                seen.append(state.strides)
+                return stepper.forward(state, step)
+
+            def adjoint(self, adj, state, state_next, step):
+                seen.extend((state.strides, state_next.strides))
+                return stepper.adjoint(adj, state, state_next, step)
+
+        store = CheckpointStore(budget_bytes=10**9)
+        driver.execute(schedule.generate_schedule(30, 4), Recording(), store, codecs.CastCodec())
+        assert store.counters.gets > 0 and set(seen) == {like}
+
+    @pytest.mark.parametrize(
+        "codec", [codecs.QuantCodec(1e-9), codecs.CastCodec(), codecs.NullCodec()],
+        ids=["quant", "cast", "null"],
+    )
+    def test_blobs_do_not_depend_on_the_layout(self, codec):
+        stepper = perturbed_problem((48, 40), 30)
+        for state in trajectory(stepper, 30)[::7]:
+            assert not state.flags.c_contiguous
+            blob = codec.encode(state)[0]
+            assert blob == codec.encode(np.ascontiguousarray(state))[0]
 
 
 class TestExecutor:

@@ -117,13 +117,27 @@ class TestRawCheckpoints:
             out[0, 0, 0] = 1.0
         assert np.array_equal(store.get(0, codecs.NullCodec())[1], state)
 
-    def test_strided_state_is_kept_c_contiguous(self, state):
-        view = state.transpose(0, 2, 1)
+    @pytest.mark.parametrize("axes", [(0, 1, 2), (0, 2, 1), (2, 1, 0)])
+    def test_copy_keeps_its_inputs_memory_order(self, state, axes):
+        # a state laid out depth-major comes back as it went in, so the
+        # kernel that laid it out need not lay it out again
+        view = state.transpose(axes)
         store = CheckpointStore(budget_bytes=state.nbytes)
         store.put(0, 0, view, codecs.NullCodec())
         _, out = store.get(0, codecs.NullCodec())
-        assert out.flags.c_contiguous
         assert np.array_equal(out, view)
+        assert out.strides == view.strides
+        assert out.transpose(np.argsort(axes)).flags.c_contiguous
+        assert not out.flags.writeable
+        assert not np.shares_memory(out, view)
+
+    def test_c_ordered_state_gets_a_c_contiguous_copy(self, state):
+        store = CheckpointStore(budget_bytes=state.nbytes)
+        store.put(0, 0, state[:, ::2], codecs.NullCodec())
+        _, out = store.get(0, codecs.NullCodec())
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, state[:, ::2])
+        assert not np.shares_memory(out, state)
 
     def test_put_counts_nbytes(self, state):
         codec = codecs.NullCodec()
