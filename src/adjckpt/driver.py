@@ -6,10 +6,10 @@ restartable state after step i is the pair (u_{i-1}, u_i), stacked as one
 array of shape (2, *grid).  The reverse sweep propagates the exact discrete
 transpose of that update, injects receiver residuals as adjoint sources,
 and accumulates the objective gradient with respect to the squared
-slowness m.  Each operator (a ``WaveStepper``, or one ``simulate`` or
-``adjoint_source_series`` call) computes its coefficients once and reuses
-one workspace for every step, yet every step returns fresh arrays, and the
-results are bit-identical to evaluating the plain formulas step by step.
+slowness m.  Each operator (a ``WaveStepper``, or one ``simulate`` call)
+computes its coefficients once and reuses one workspace for every step,
+yet every step returns fresh arrays, and the results are bit-identical to
+evaluating the plain formulas step by step.
 Fields are stored with the axis along which the source and receivers are
 least spread (depth, when both sit near the surface) slowest in memory, so
 each light cone is one contiguous flat range of grid lines.  A forward
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -61,12 +61,9 @@ __all__ = [
     "ExecutionStats",
     "ExecutionResult",
     "ricker_wavelet",
-    "misfit",
     "simulate",
-    "adjoint_source_series",
     "reference_adjoint",
     "calibrate",
-    "dot_test",
     "execute",
 ]
 
@@ -472,12 +469,6 @@ class _WaveKernel:
         return slice(span.start // _LINE * _LINE, span.stop)
 
 
-def misfit(d_sim: np.ndarray, d_obs: np.ndarray) -> float:
-    """Half the squared l2 distance between simulated and observed data."""
-    diff = np.asarray(d_sim) - np.asarray(d_obs)
-    return 0.5 * float(np.vdot(diff, diff).real)
-
-
 def simulate(params: WaveParams) -> np.ndarray:
     """Forward sweep recording receivers; row i holds the data after step i."""
     kernel = _WaveKernel(params)
@@ -642,35 +633,6 @@ def calibrate(
         decompress_time=t_d,
     )
     return params, samples
-
-
-def adjoint_source_series(params: WaveParams, residuals: np.ndarray) -> np.ndarray:
-    """Transpose of ``simulate``: data-space residuals back to source amplitudes."""
-    residuals = np.asarray(residuals, dtype=float)
-    kernel = _WaveKernel(params)
-    lam, lam_older, lam_prev = (kernel.new(zeros=True) for _ in range(3))
-    out = np.zeros(params.nt)
-    for i in reversed(range(params.nt)):
-        kernel.adjoint(lam, lam_older, residuals[i], i, lam_prev)
-        out[i] = kernel.coeff[params.source] * lam_prev[params.source]
-        lam, lam_older, lam_prev = lam_prev, lam, lam_older
-    return out
-
-
-def dot_test(params: WaveParams, trials: int = 20, seed: int = 0) -> float:
-    """Max relative mismatch of <A w, r> vs <w, A^T r> over random draws."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        w = rng.normal(size=params.nt)
-        r = rng.normal(size=(params.nt, len(params.receivers)))
-        d = simulate(replace(params, wavelet=w))
-        g = adjoint_source_series(params, r)
-        lhs = float(np.vdot(d, r).real)
-        rhs = float(np.vdot(w, g).real)
-        denom = float(np.linalg.norm(d) * np.linalg.norm(r)) or 1.0
-        worst = max(worst, abs(lhs - rhs) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------

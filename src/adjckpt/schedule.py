@@ -169,9 +169,34 @@ def _check_args(n: int, m: int) -> None:
 # n = 60000); neither the structure nor the window is proven.  On the
 # near-full zone m < n <= 2m - 1 the level sum gives n - m + 1 too, but
 # ``recompute_count`` keeps that closed form, as it keeps m = 1 and m >= n,
-# so that those queries answer past ``_MAX_STEPS``, the int64 rows' limit.
-# Other step counts past it are refused: the write tree ``schedule_counts``
-# walks can have nearly as many splits as steps.
+# so that those queries answer past ``_MAX_STEPS``, the int64 rows' old
+# limit.  Other step counts past it are refused.  The expanded split tree
+# can have up to n - 1 splits, but the write count walks each distinct
+# segment once and stops at the zones below, so it calls ``_split`` far
+# fewer times: about sqrt(2n) at m = 2, and 200 to 500 times at n = 10**8
+# for m from 4 to 200.  What grows with n is the window each ``_split``
+# lists, so one count there can take seconds.
+#
+# Writes
+#
+# A segment of n steps with m >= 2 slots stores each of its inner states
+# 1..n-1 at most once (the segments a split makes share no inner state), so
+# it makes W(n, m) = n - 1 - U(n, m) stores above its base, where U counts
+# the inner states it never stores.  With B1 = B(m, 1) = m(m+1)/2 + 1 and
+# B2 = B(m, 2), U falls into zones:
+#
+#     n <= B1 - 2                 U = 0   (every n <= m among them)
+#     n = B1 - 1 or B1            U = 1
+#     n = B1 + 1                  U = 2
+#     n = B1 + 2 or B1 + 3        U = 3
+#     B1 + 4 <= n <= B2 - 4m      U = 2
+#
+# ``_writes`` reads W off the zones and walks the split tree only above them
+# (wave2d's (200, 3), say); every paper-scale query (n near 2500, m from 56
+# to 86) lies in them and walks no split.  tests/test_schedule.py checks the zones against
+# the walk at every m <= 120 within 5 steps of each zone boundary, at every
+# n in 2400..2600 for m in 45..90, and at seeded points inside the zones up
+# to m = 300, n = 60000; they are not proven.
 # ---------------------------------------------------------------------------
 
 _MAX_STEPS = 1_518_500_250  # the largest n with n(n-1)/2 < 2**60
@@ -344,22 +369,40 @@ def _expand(actions: list[ScheduleAction], lo: int, hi: int, m: int, base: int) 
 
 _WRITES: dict[tuple[int, int], int] = {}
 
+# U(n, m) at n - B(m, 1) = -2, -1, ..., 3; U is 0 below (see "Writes" above)
+_UNSTORED_NEAR_EDGE = (0, 1, 1, 2, 3, 3)
+
+
+def _unstored(n: int, m: int) -> int | None:
+    """U(n, m), the states 1..n-1 a segment never stores, on its zones; else None.
+
+    Only for m >= 2.
+    """
+    edge = _edge(m, 1)
+    if n <= edge + 3:
+        return _UNSTORED_NEAR_EDGE[max(n - edge + 2, 0)]
+    if n <= _edge(m, 2) - 4 * m:
+        return 2
+    return None
+
 
 def _writes(n: int, m: int) -> int:
     """Stores one expanded segment makes above its base; memoised.
 
-    Like ``_expand`` it loops down the segments that keep all m slots and
+    On the zones of ``_unstored`` the count is n - 1 - U(n, m).  Elsewhere,
+    like ``_expand``, it loops down the segments that keep all m slots and
     recurses only into m - 1, so its depth is at most m.
     """
     chain: list[tuple[int, int]] = []  # (segment length, its own writes) down the loop
-    while 1 < m < n and (n, m) not in _WRITES:
+    unstored = None
+    while m > 1 and (unstored := _unstored(n, m)) is None and (n, m) not in _WRITES:
         k = _split(n, m)
         chain.append((n, 1 + _writes(n - k, m - 1)))
         n = k
-    if m >= n:
-        total = n - 1
-    elif m == 1:
+    if m == 1:
         total = 0
+    elif unstored is not None:
+        total = n - 1 - unstored
     else:
         total = _WRITES[n, m]
     for length, own in reversed(chain):
@@ -370,7 +413,8 @@ def _writes(n: int, m: int) -> int:
 def schedule_counts(n: int, m: int) -> ScheduleStats:
     """Stats of ``generate_schedule(n, m)`` without materializing the stream.
 
-    Only the writes (state 0's, then each segment's) need the split tree.
+    Only the writes (state 0's, then each segment's) may need the split
+    tree, and only for segments above the zones of "Writes".
     The stream replays ``p(n, m)`` steps by construction.  After adjoint
     step k + 1 only a restore brings back state k, so each of the n - 1
     lower adjoint steps follows one read.  And its slot stack grows to one

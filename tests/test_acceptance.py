@@ -14,6 +14,7 @@ import pytest
 
 from adjckpt import cli, codecs, driver, perfmodel, schedule
 from adjckpt.store import CheckpointStore
+from oracles import dot_test, misfit
 
 
 def _announce(num, text):
@@ -70,7 +71,7 @@ def test_criterion_3_checkpointing_transparency(nt, m):
 
 def test_criterion_4_adjoint_correctness():
     params = driver.homogeneous_params((61,), nt=50)
-    discrepancy = driver.dot_test(params, trials=20, seed=0)
+    discrepancy = dot_test(params, trials=20, seed=0)
     assert discrepancy <= 1e-10
 
     base = driver.homogeneous_params((51,), nt=48)
@@ -82,7 +83,7 @@ def test_criterion_4_adjoint_correctness():
     directional = float(np.vdot(adj.gradient, dm).real)
 
     def objective(m):
-        return driver.misfit(driver.simulate(replace(base, slowness_sq=m)), d_obs)
+        return misfit(driver.simulate(replace(base, slowness_sq=m)), d_obs)
 
     best = np.inf
     for h in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]:

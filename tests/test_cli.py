@@ -110,6 +110,9 @@ class TestSweep:
 # the three standard sweeps in README; they change only if the plan changes.
 PLANNING_DIGESTS = [
     pytest.param(["advise"], "5ab2b7207e81cf7d", id="advise"),
+    # the paper regime at 1.2 and 1.8 GB: the compressed side holds 56 and 84 slots
+    pytest.param(["advise", "--memory", "1.2e9"], "07f0e504575a1604", id="advise-1.2e9"),
+    pytest.param(["advise", "--memory", "1.8e9"], "19757e28a4171499", id="advise-1.8e9"),
     pytest.param(["advise", "--memory", "100e9"], "df1491d6f9ee1ba5", id="advise-100e9"),
     pytest.param(["advise", "--memory", "3e12"], "d43e7ff024c0c2fe", id="advise-3e12"),
     pytest.param(["sweep", "--axis", "memory", "--range", "2e9:3e12:25"], "df13969043e7bbff",

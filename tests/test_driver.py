@@ -14,6 +14,7 @@ from adjckpt.errors import (
     ScheduleValidationError,
 )
 from adjckpt.store import CheckpointStore
+from oracles import dot_test, misfit
 from test_schedule import DRIFTED_STREAMS
 
 
@@ -113,11 +114,11 @@ class TestForwardOperator:
 class TestAdjointCorrectness:
     def test_dot_test_1d(self):
         params = driver.homogeneous_params((61,), nt=50)
-        assert driver.dot_test(params, trials=20, seed=0) <= 1e-10
+        assert dot_test(params, trials=20, seed=0) <= 1e-10
 
     def test_dot_test_2d(self):
         params = driver.homogeneous_params((24, 30), nt=30)
-        assert driver.dot_test(params, trials=8, seed=1) <= 1e-10
+        assert dot_test(params, trials=8, seed=1) <= 1e-10
 
     def test_gradient_matches_finite_differences(self):
         base = driver.homogeneous_params((51,), nt=48)
@@ -130,7 +131,7 @@ class TestAdjointCorrectness:
         directional = float(np.vdot(adj.gradient, dm).real)
 
         def objective(m):
-            return driver.misfit(driver.simulate(replace(base, slowness_sq=m)), d_obs)
+            return misfit(driver.simulate(replace(base, slowness_sq=m)), d_obs)
 
         best = np.inf
         for h in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]:
@@ -141,8 +142,8 @@ class TestAdjointCorrectness:
     def test_misfit_is_half_squared_norm(self):
         a = np.arange(12, dtype=float).reshape(3, 4)
         b = a + 2.0
-        assert driver.misfit(a, b) == pytest.approx(0.5 * 12 * 4.0)
-        assert driver.misfit(a, a) == 0.0
+        assert misfit(a, b) == pytest.approx(0.5 * 12 * 4.0)
+        assert misfit(a, a) == 0.0
 
     def test_misfit_accumulated_during_adjoint_matches_definition(self):
         params = driver.homogeneous_params((41,), nt=25)
@@ -150,7 +151,7 @@ class TestAdjointCorrectness:
         stepper = driver.WaveStepper(params, d_obs=d_obs)
         adj = driver.reference_adjoint(stepper)
         assert adj.misfit_value == pytest.approx(
-            driver.misfit(driver.simulate(params), d_obs), rel=1e-12
+            misfit(driver.simulate(params), d_obs), rel=1e-12
         )
 
 

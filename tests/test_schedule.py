@@ -122,6 +122,38 @@ def oracle_points():
     return grid + [(int(rng.integers(m + 1, 60001)), int(m)) for m in ms]
 
 
+_WALKED = {}
+
+
+def writes_walk(n, m):
+    """Stores a segment of n steps with m slots makes above its base.
+
+    Walks the split tree through ``sched._split`` with a memo of its own,
+    with no zone shortcut: the oracle for the zones of ``sched._unstored``.
+    """
+    chain = []
+    while 1 < m < n and (n, m) not in _WALKED:
+        k = sched._split(n, m)
+        chain.append((n, 1 + writes_walk(n - k, m - 1)))
+        n = k
+    if m >= n:
+        total = n - 1
+    elif m == 1:
+        total = 0
+    else:
+        total = _WALKED[n, m]
+    for length, own in reversed(chain):
+        total = _WALKED[length, m] = total + own
+    return total
+
+
+def zone_bounds(m):
+    """The n at which U(n, m) changes zone: B(m,1) - 2, B(m,1), B(m,1) + 1,
+    B(m,1) + 3 and B(m,2) - 4m."""
+    edge = sched._edge(m, 1)
+    return [edge - 2, edge, edge + 1, edge + 3, sched._edge(m, 2) - 4 * m]
+
+
 def machine_oracle(n, m):
     """Fewest replayed steps of any stream the register machine accepts.
 
@@ -266,6 +298,26 @@ class TestScheduleCounts:
     def test_far_out_counts(self):
         assert sched.schedule_counts(10**6, 2) == sched.ScheduleStats(941809244, 1414, 999999, 2)
         assert sched.schedule_counts(10**6, 3) == sched.ScheduleStats(134786924, 16471, 999999, 3)
+
+    def test_writes_at_the_zone_boundaries(self):
+        for m in range(2, 121):
+            for bound in zone_bounds(m):
+                for n in range(max(bound - 5, 1), bound + 6):
+                    assert sched.schedule_counts(n, m).writes == 1 + writes_walk(n, m), (n, m)
+
+    def test_writes_at_paper_scale(self):
+        for m in range(45, 91):
+            for n in range(2400, 2601):
+                assert sched.schedule_counts(n, m).writes == 1 + writes_walk(n, m), (n, m)
+
+    def test_writes_inside_the_zones(self):
+        rng = np.random.default_rng(29)
+        for m in rng.integers(2, 301, size=200):
+            m = int(m)
+            top = min(zone_bounds(m)[-1], 60000)
+            n = int(rng.integers(1, max(top, sched._edge(m, 1) + 3) + 1))
+            assert sched._unstored(n, m) is not None, (n, m)
+            assert sched.schedule_counts(n, m).writes == 1 + writes_walk(n, m), (n, m)
 
     def test_stats_match_counts_at_every_slot_count(self):
         for m in range(1, 201):
