@@ -13,13 +13,12 @@ evaluating the plain formulas step by step.
 Fields are stored with the axis along which the source and receivers are
 least spread (depth, when both sit near the surface) slowest in memory, so
 each light cone is one contiguous flat range of grid lines.  A forward
-step computes only the range the source's cone can have reached, an
+step computes only the range the source's cone can have reached, and an
 adjoint step only the range the receivers' cone can have reached since
-the reverse sweep began, and the gradient update only where both fields
-can be nonzero.  Each first checks that its inputs are zero bits outside
-that range and writes +0.0 on the rest, or keeps the gradient there,
-which is what the formulas give; so the early steps of the forward sweep
-and of the reverse sweep are the cheap ones.
+the reverse sweep began.  Each first checks that its inputs are zero bits
+outside that range and writes +0.0 on the rest, which is what the
+formulas give; so the early steps of the forward sweep and of the reverse
+sweep are the cheap ones.  The gradient update sweeps the whole grid.
 
 ``execute`` drives any ``Stepper`` through a schedule produced by the
 schedule module, pulling checkpoints from a ``CheckpointStore`` through a
@@ -81,8 +80,8 @@ class WaveParams:
 
     ``slowness_sq`` is 1/c(x)^2.  The leapfrog update is stable only under
     dt <= spacing * sqrt(min slowness_sq) / sqrt(ndim); construction fails
-    on violation rather than letting a run blow up midway, and on a ``dt``
-    or ``spacing`` that is not finite and positive.
+    on violation rather than letting a run blow up midway, and on a ``dt``,
+    ``spacing`` or point of ``slowness_sq`` that is not finite and positive.
     """
 
     shape: tuple[int, ...]
@@ -100,8 +99,8 @@ class WaveParams:
             raise InvalidArgumentError("only 1D and 2D grids are supported")
         if self.slowness_sq.shape != self.shape:
             raise InvalidArgumentError("slowness_sq shape does not match the grid")
-        if np.any(self.slowness_sq <= 0):
-            raise InvalidArgumentError("slowness_sq must be positive everywhere")
+        if not np.all(np.isfinite(self.slowness_sq) & (self.slowness_sq > 0)):
+            raise InvalidArgumentError("slowness_sq must be finite and positive everywhere")
         for name in ("dt", "spacing"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
@@ -163,9 +162,6 @@ def _aligned_empty(size: int) -> np.ndarray:
 
 # float64 values per 64-byte cache line
 _LINE = 8
-# the int64 view of -0.0, the least int64
-_NEGATIVE_ZERO = np.iinfo(np.int64).min
-_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _outside(outer: slice, inner: slice) -> tuple[slice, ...]:
@@ -186,11 +182,6 @@ def _zero_bits(parts: tuple[slice, ...], *fields: np.ndarray) -> bool:
             if bits[p].max(initial=0):
                 return False
     return True
-
-
-def _bounded(limit: float, parts: tuple[slice, ...], *fields: np.ndarray) -> bool:
-    """Whether every flat field lies in [-limit, limit] on every part, so NaN does not."""
-    return all(-limit <= u[p].min() and u[p].max() <= limit for u in fields for p in parts)
 
 
 class _WaveKernel:
@@ -224,7 +215,8 @@ class _WaveKernel:
     band serves as the second scratch, so a kernel must not be shared
     between threads.
 
-    Each step sweeps only the flat range its fields can be nonzero on.
+    Each forward and adjoint step sweeps only the flat range its fields can
+    be nonzero on; the gradient update sweeps the whole grid.
     The stencil reaches one grid line of the slowest axis, the largest flat
     stride, per step, so the candidate for a forward ``step`` is ``step +
     1`` lines either side of the source, and for the adjoint at ``step``
@@ -238,18 +230,6 @@ class _WaveKernel:
     outside the span sees only +0.0 inputs, and with ``coeff`` finite and
     positive the plain formulas give it +0.0, while the span holds the
     source and the receivers.
-
-    The gradient update leaves the gradient's bits alone wherever it
-    subtracts +0.0 or, when the gradient is not -0.0 there, -0.0.  Outside
-    the adjoint's span ``lam_prev`` is +0.0, and outside ``step + 2`` lines
-    of the source so is the other factor, once the three ``u`` are checked
-    to be zero bits there.  Where both factors are +0.0 the product is too,
-    so the update sweeps the hull of the two ranges, or the whole grid when
-    a ``u`` is not zero bits outside its range.  Where
-    only one factor is +0.0 the product is +-0.0 if the other is finite,
-    so the update sweeps just the overlap of the two ranges when, outside
-    it, the gradient holds no -0.0, ``lam_prev`` is finite and each ``u``
-    lies within ``_u_bound``, which keeps its factor finite.
 
     ``forward`` and ``adjoint`` write every element of ``out``, which must
     come from ``new`` and must not overlap an input.
@@ -282,8 +262,6 @@ class _WaveKernel:
         self._hh = params.spacing * params.spacing
         self._nt = params.nt
         self._slowness_sq = self._flat(params.slowness_sq)
-        # |u| <= _u_bound keeps ((u_after - 2 u_at) + u_before) / m finite
-        self._u_bound = _FLOAT_MAX / 8 * min(float(params.slowness_sq.min()), 1.0)
         self.coeff = params.dt**2 / params.slowness_sq
         self._coeff = self._flat(self.coeff)
         self._source = params.source
@@ -314,11 +292,6 @@ class _WaveKernel:
     def _at(self, point: tuple[int, ...]) -> int:
         return sum(c * st for c, st in zip(point, self._strides))
 
-    def _near(self, at: tuple[int, int], lines: int) -> slice:
-        """Flat range within ``lines`` grid lines of flat range [first, last] ``at``, in the grid."""
-        near = lines * self._reach
-        return slice(max(at[0] - near, 0), min(at[1] + near + 1, self._size))
-
     def _span(self, lo: int, hi: int):
         """Slices that sweep flat [lo, hi) of the band, and the band's rest.
 
@@ -338,7 +311,7 @@ class _WaveKernel:
         """The ``_span`` a step must sweep if its flat ``fields`` can be
         nonzero only within ``lines`` grid lines of flat range ``at``."""
         reach = self._reach
-        near = self._near(at, lines)
+        near = slice(max(at[0] - lines * reach, 0), min(at[1] + lines * reach + 1, self._size))
         if near.start - reach <= self._lo and near.stop + reach >= self._hi:
             return self._full
         if not _zero_bits(_outside(self._all, near), *fields):
@@ -390,11 +363,8 @@ class _WaveKernel:
 
     def adjoint(
         self, lam: np.ndarray, lam_older: np.ndarray, residual, step: int, out: np.ndarray
-    ) -> slice:
-        """Exact transpose of ``forward`` with ``residual`` injected at the receivers.
-
-        Returns the flat span it swept: ``out`` is +0.0 outside it.
-        """
+    ) -> np.ndarray:
+        """Exact transpose of ``forward`` with ``residual`` injected at the receivers."""
         lam, lam_older, flat = self._flat(lam), self._flat(lam_older), self._flat(out)
         span, pairs, lap, quiet = self._cone(self._receivers_at, self._nt - step, lam, lam_older)
         # what the Laplacian reads, from a cache line: an unaligned product
@@ -410,63 +380,28 @@ class _WaveKernel:
         self._zero_faces(out)
         # unbuffered, so a receiver listed twice gets its residual twice
         np.add.at(out, self.receivers, residual)
-        return span
+        return out
 
     def gradient(
         self,
         gradient: np.ndarray,
         lam_prev: np.ndarray,
-        lam_span: slice,
         u_before: np.ndarray,
         u_at: np.ndarray,
         u_after: np.ndarray,
-        step: int,
     ) -> np.ndarray:
-        """Fresh gradient - lam_prev * ((u_after - 2 u_at) + u_before) / m.
-
-        ``lam_prev`` comes from the adjoint at ``step``, which swept ``lam_span``.
-        """
-        g, lam = self._flat(gradient), self._flat(lam_prev)
-        us = [self._flat(u) for u in (u_after, u_at, u_before)]
-        span = self._update_span(g, lam, lam_span, step, us)
+        """Fresh gradient - lam_prev * ((u_after - 2 u_at) + u_before) / m."""
+        g, lam, u_before, u_at, u_after = (
+            self._flat(a) for a in (gradient, lam_prev, u_before, u_at, u_after)
+        )
         out = self.new()
-        flat = self._flat(out)
-        flat[: span.start] = g[: span.start]
-        flat[span.stop :] = g[span.stop :]
-        u_after, u_at, u_before = (u[span] for u in us)
-        t = np.multiply(u_at, 2.0, out=self._grid[span])
+        t = np.multiply(u_at, 2.0, out=self._grid)
         np.subtract(u_after, t, out=t)
         np.add(t, u_before, out=t)
-        np.divide(t, self._slowness_sq[span], out=t)
-        np.multiply(lam[span], t, out=t)
-        np.subtract(g[span], t, out=flat[span])
+        np.divide(t, self._slowness_sq, out=t)
+        np.multiply(lam, t, out=t)
+        np.subtract(g, t, out=self._flat(out))
         return out
-
-    def _update_span(
-        self, g: np.ndarray, lam: np.ndarray, lam_span: slice, step: int, us: list[np.ndarray]
-    ) -> slice:
-        """The flat range a gradient update must sweep (see the class docstring)."""
-        cone = self._near(self._source_at, step + 2)
-        if not _zero_bits(_outside(self._all, cone), *us):
-            cone = self._all
-        hull = slice(min(lam_span.start, cone.start), max(lam_span.stop, cone.stop))
-        lo, hi = max(lam_span.start, cone.start), min(lam_span.stop, cone.stop)
-        # a part no longer than the band's margin, a grid line and a point,
-        # costs more to check than to sweep
-        if lo - hull.start <= self._lo:
-            lo = hull.start
-        if hull.stop - hi <= self._lo:
-            hi = hull.stop
-        both = slice(lo, max(lo, hi))
-        bits = g.view(np.int64)
-        exact = (
-            all(bits[p].min() != _NEGATIVE_ZERO for p in _outside(hull, both))
-            and _bounded(_FLOAT_MAX, _outside(lam_span, both), lam)
-            and _bounded(self._u_bound, _outside(cone, both), *us)
-        )
-        span = both if exact else hull
-        # from a cache line, as the steps' spans start
-        return slice(span.start // _LINE * _LINE, span.stop)
 
 
 def simulate(params: WaveParams) -> np.ndarray:
@@ -545,9 +480,8 @@ class WaveStepper:
         u_after = state_next[1]
         kernel = self._kernel
         residual = u_after[kernel.receivers] - self.d_obs[step]
-        lam_prev = kernel.new()
-        span = kernel.adjoint(adj.lam, adj.lam_older, residual, step, lam_prev)
-        gradient = kernel.gradient(adj.gradient, lam_prev, span, u_before, u_at, u_after, step)
+        lam_prev = kernel.adjoint(adj.lam, adj.lam_older, residual, step, kernel.new())
+        gradient = kernel.gradient(adj.gradient, lam_prev, u_before, u_at, u_after)
         mis = adj.misfit_value + 0.5 * float(residual @ residual)
         return WaveAdjoint(lam_prev, adj.lam, gradient, mis)
 

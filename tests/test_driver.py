@@ -80,6 +80,16 @@ class TestForwardOperator:
         with pytest.raises(InvalidArgumentError, match="finite and positive"):
             replace(good, **change)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_nonsense_medium_fails_at_construction(self, value):
+        # +inf passes the stability check and NaN would fail it only as an
+        # unstable dt; each is refused by name
+        good = driver.homogeneous_params((41,), nt=10)
+        medium = np.copy(good.slowness_sq)
+        medium[20] = value
+        with pytest.raises(InvalidArgumentError, match="finite and positive"):
+            replace(good, slowness_sq=medium)
+
     def test_energy_conserved_after_source_stops(self):
         # leapfrog preserves a discrete energy once the source is quiet
         nt = 500
@@ -396,19 +406,6 @@ class TestLightCone:
         far[1, 1] = 1e-300
         span, *_ = kernel._cone(kernel._receivers_at, 6, *flat(adj.lam, far))
         assert span == band
-
-        # its gradient update sweeps the adjoint's span, not the whole grid,
-        # unless the gradient holds -0.0 where only one factor is +0.0
-        lam_prev = kernel.new()
-        residual = np.zeros(len(stepper.params.receivers))
-        lam_span = kernel.adjoint(adj.lam, adj.lam_older, residual, 54, lam_prev)
-        us = flat(states[55][1], states[54][1], states[54][0])
-        g = np.copy(adj.gradient)
-        update = kernel._update_span(*flat(g, lam_prev), lam_span, 54, us)
-        assert 0 < update.start <= update.stop < g.size
-        g[-2, -2] = -0.0
-        update = kernel._update_span(*flat(g, lam_prev), lam_span, 54, us)
-        assert update == slice(0, g.size)
 
     # (12, 40) spreads its receivers less along axis 0 than in depth, so
     # its kernel keeps C order
