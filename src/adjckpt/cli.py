@@ -149,7 +149,7 @@ def _make_field(kind: str, shape: tuple[int, ...], seed: int):
         state = stepper.initial_state()
         for i in range(params.nt):
             state = stepper.forward(state, i)
-        return state[1]
+        return np.ascontiguousarray(state[1])  # C-ordered, as a sweep hands states to codecs
     rng = np.random.default_rng(seed)
     if kind == "noise":
         return rng.uniform(-1.0, 1.0, size=shape)

@@ -236,16 +236,6 @@ def _grid(shape: tuple[int, ...]) -> _Grid:
     return _Grid(perm, starts, counts, tuple(counts.tolist()))
 
 
-@functools.lru_cache(maxsize=16)
-def _laid_perm(shape: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-    """``_grid(shape).perm`` as flat indices into the memory of an array
-    whose axes lie in ``order``, slowest first."""
-    where = np.arange(math.prod(shape)).reshape([shape[a] for a in order])
-    perm = where.transpose(np.argsort(order)).ravel()[_grid(shape).perm]
-    perm.setflags(write=False)
-    return perm
-
-
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
@@ -255,20 +245,15 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
 
 
 def _block_peaks(bits: np.ndarray) -> np.ndarray:
-    """The largest item of each 4**d block of ``bits``, blocks in C order.
+    """The largest item of each 4**d block of C-ordered ``bits``, blocks in C order.
 
     Axis by axis, the elementwise maximum of the stride-4 slices that start
     at 0, 1, 2 and 3; where the last block along the axis is partial, the
-    later slices are one shorter and skip it.  The axes go slowest in
-    memory first and each partial result keeps that memory order, so a
-    field laid out depth-major is reduced as fast as a C-ordered one.
+    later slices are one shorter and skip it.
     """
-    axes = range(bits.ndim)
-    if not bits.flags.c_contiguous:
-        axes = np.argsort(bits.strides, kind="stable")[::-1].tolist()
-    for axis in axes:
+    for axis in range(bits.ndim):
         lead = (slice(None),) * axis
-        peak = bits[lead + (slice(0, None, _BLOCK),)].copy(order="K")
+        peak = bits[lead + (slice(0, None, _BLOCK),)].copy()
         for j in range(1, min(_BLOCK, bits.shape[axis])):
             part = bits[lead + (slice(j, None, _BLOCK),)]
             edge = peak[lead + (slice(part.shape[axis]),)]
@@ -396,20 +381,13 @@ class QuantCodec:
         self.tolerance = float(tolerance)
 
     def encode(self, field: np.ndarray) -> tuple[bytes, CodecStats]:
-        arr = _require_field(field)
-        # The values are read in their memory order, through indices that
-        # give the blob's C order, so a field contiguous in another axis
-        # order (a depth-major wavefield) is not copied first.
-        order = tuple(np.argsort(arr.strides, kind="stable")[::-1].tolist())
-        if arr.flags.c_contiguous or not arr.transpose(order).flags.c_contiguous:
-            arr, order = np.ascontiguousarray(arr), tuple(range(arr.ndim))
+        arr = np.ascontiguousarray(_require_field(field))
         # Lattice spacing 1.5 * tolerance instead of the nominal 2x: the
         # quarter-tolerance margin absorbs float64 reconstruction roundoff,
         # keeping the absolute-error contract exact down to tolerances a
         # few machine epsilons above the value magnitude.
         step = 1.5 * self.tolerance
         grid = _grid(arr.shape)
-        perm = grid.perm if order == tuple(range(arr.ndim)) else _laid_perm(arr.shape, order)
         # Each block's largest |x|, reduced over the float64 bits as int64:
         # non-negative floats order as their bit patterns do, NaN above inf.
         # The buffer then holds the hot values' quotients.
@@ -425,10 +403,8 @@ class QuantCodec:
         quiet = peak / step <= 0.5
         hot = np.flatnonzero(~quiet)
         rows, starts, counts = _values_of(grid, hot)
-        hx = arr.transpose(order).reshape(-1)[perm[rows]]
-        scaled = np.divide(
-            hx, step, out=work.transpose(order).reshape(-1)[: hx.size], dtype=np.float64
-        )
+        hx = arr.reshape(-1)[grid.perm[rows]]
+        scaled = np.divide(hx, step, out=work.reshape(-1)[: hx.size], dtype=np.float64)
         # round-to-even keeps re-encoding a decoded field stable
         np.rint(scaled, out=scaled)
         idx = scaled.astype(np.int64)

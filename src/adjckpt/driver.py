@@ -507,6 +507,12 @@ _CALIBRATION_WARMUP = 4
 _CALIBRATION_REPS = 5
 
 
+def _memory_order(a: np.ndarray) -> tuple[int, ...]:
+    """The axes of ``a``, slowest in memory first: ``a.transpose`` of them
+    is C-ordered if ``a`` is contiguous in any axis order."""
+    return tuple(np.argsort(a.strides, kind="stable")[::-1].tolist())
+
+
 def calibrate(
     stepper: Stepper, codec: Codec, memory_bytes: float
 ) -> tuple[PerfParams, list[np.ndarray]]:
@@ -529,8 +535,9 @@ def calibrate(
     with the state (the quantizer's with its share of hot blocks) and a
     sweep checkpoints states from every part of the run.  A
     ``NullCodec`` is priced as the store runs it, at ratio 1 with no codec
-    time, so its side costs what the plain side does.  ``memory_bytes`` is
-    passed through.
+    time, so its side costs what the plain side does.  Each state is copied
+    and profiled as a sweep hands it to the store, transposed into its
+    memory order.  ``memory_bytes`` is passed through.
     """
     state = stepper.initial_state()
     samples = [state]
@@ -544,15 +551,16 @@ def calibrate(
     if samples[-1] is not state:  # the loop may have sampled the final state
         samples.append(state)
     good = times[_CALIBRATION_WARMUP:] if len(times) > _CALIBRATION_WARMUP else times
+    laid = [s.transpose(_memory_order(s)) for s in samples]
     raw, null = CheckpointStore(state.nbytes), NullCodec()
     copies = []
     for _ in range(_CALIBRATION_REPS):
         t0 = time.perf_counter()
-        raw.put(0, 0, state, null, overwrite=True)
+        raw.put(0, 0, laid[-1], null, overwrite=True)
         copies.append(time.perf_counter() - t0)
     ratio, t_c, t_d = 1.0, 0.0, 0.0  # a raw checkpoint is the copy timed above
     if not isinstance(codec, NullCodec):
-        profiles = [profile(codec, s, repetitions=_CALIBRATION_REPS) for s in samples]
+        profiles = [profile(codec, s, repetitions=_CALIBRATION_REPS) for s in laid]
         ratio = profiles[-1].ratio
         t_c = float(np.mean([p.t_c for p in profiles]))
         t_d = float(np.mean([p.t_d for p in profiles]))
@@ -597,9 +605,10 @@ class _Sweep(ScheduleBackend):
 
     It holds the live state array, the upper state array and the adjoint;
     which step each array belongs to is the interpreter's business.  The
-    store is reached only through ``put``/``get``/``free``.  A decoded
-    checkpoint comes back C-ordered; it is copied once into the layout of
-    the stepper's initial state, so no step that reads it lays it out again.
+    store is reached only through ``put``/``get``/``free``.  Each state goes
+    to the store transposed into the memory order of the stepper's initial
+    state, a C-ordered view that no codec has to copy, and a restored
+    checkpoint is transposed back, a view in the stepper's own layout.
     """
 
     def __init__(self, stepper: Stepper, store: CheckpointStore, codec: Codec):
@@ -607,20 +616,16 @@ class _Sweep(ScheduleBackend):
         self.ckpts = store
         self.codec = codec
         self.cur = stepper.initial_state()
-        self.like = self.cur  # the layout of the stepper's states
+        self.order = _memory_order(self.cur)
+        self.back = tuple(np.argsort(self.order).tolist())
         self.upper: np.ndarray | None = None
         self.adj = stepper.initial_adjoint()
 
     def store(self, slot: int, state: int) -> None:
-        self.ckpts.put(slot, state, self.cur, self.codec)
+        self.ckpts.put(slot, state, self.cur.transpose(self.order), self.codec)
 
     def restore(self, slot: int, state: int) -> None:
-        _, cur = self.ckpts.get(slot, self.codec)
-        if cur.strides != self.like.strides:
-            laid = np.empty_like(self.like)
-            laid[...] = cur
-            cur = laid
-        self.cur = cur
+        self.cur = self.ckpts.get(slot, self.codec)[1].transpose(self.back)
 
     def discard(self, slot: int) -> None:
         self.ckpts.free(slot)

@@ -538,12 +538,16 @@ class TestLayout:
             assert np.array_equal(bits(from_c.gradient), bits(adj.gradient))
             assert from_c.misfit_value == adj.misfit_value
 
-    def test_a_sweep_lays_out_decoded_checkpoints_as_its_states(self):
-        # a decoded checkpoint is C-ordered; the sweep gives it the layout
-        # of the stepper's own states before any step reads it
+    @pytest.mark.parametrize(
+        "codec", [codecs.CastCodec(), codecs.QuantCodec(1e-9)], ids=["cast", "quant"]
+    )
+    def test_a_sweep_lays_out_decoded_checkpoints_as_its_states(self, codec):
+        # the sweep encodes each state as a C-ordered view of its memory and
+        # restores a decoded checkpoint as a view in the stepper's layout,
+        # which every step then reads without a copy having been made
         stepper = perturbed_problem((48, 40), 30)
         like = stepper.initial_state().strides
-        seen = []
+        read, encoded, decoded = [], [], []
 
         class Recording:
             nsteps = stepper.nsteps
@@ -551,16 +555,30 @@ class TestLayout:
             initial_adjoint = stepper.initial_adjoint
 
             def forward(self, state, step):
-                seen.append(state.strides)
+                read.append(state)
                 return stepper.forward(state, step)
 
             def adjoint(self, adj, state, state_next, step):
-                seen.extend((state.strides, state_next.strides))
+                read.extend((state, state_next))
                 return stepper.adjoint(adj, state, state_next, step)
 
+        class RecordingCodec:
+            name = codec.name
+
+            def encode(self, field):
+                encoded.append(field)
+                return codec.encode(field)
+
+            def decode(self, blob):
+                decoded.append(codec.decode(blob))
+                return decoded[-1]
+
         store = CheckpointStore(budget_bytes=10**9)
-        driver.execute(schedule.generate_schedule(30, 4), Recording(), store, codecs.CastCodec())
-        assert store.counters.gets > 0 and set(seen) == {like}
+        driver.execute(schedule.generate_schedule(30, 4), Recording(), store, RecordingCodec())
+        assert store.counters.gets == len(decoded) > 0
+        assert all(field.flags.c_contiguous for field in encoded)
+        assert {state.strides for state in read} == {like}
+        assert all(any(np.shares_memory(d, s) for s in read) for d in decoded)
 
     @pytest.mark.parametrize(
         "codec", [codecs.QuantCodec(1e-9), codecs.CastCodec(), codecs.NullCodec()],
@@ -730,7 +748,9 @@ class TestCalibrate:
         stepper = driver.WaveStepper(driver.homogeneous_params((24, 20), nt=12))
         p, samples = driver.calibrate(stepper, codecs.QuantCodec(1e-6), 12345.0)
         assert len(profiled) == len(samples) > 2
-        assert all(a is b for a, b in zip(profiled, samples))
+        # each sample is profiled as the sweep encodes it: a C-ordered view
+        assert all(a.flags.c_contiguous for a in profiled)
+        assert all(np.shares_memory(a, b) for a, b in zip(profiled, samples))
         assert p.ratio == 10.0 + len(samples) - 1  # the final state's
         assert p.compress_time == np.mean(range(len(samples)))
         assert p.decompress_time == 2.0 * np.mean(range(len(samples)))
