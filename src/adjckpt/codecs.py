@@ -262,17 +262,12 @@ def _block_peaks(bits: np.ndarray) -> np.ndarray:
     return bits.ravel()
 
 
-def _values_of(
-    grid: _Grid, blocks: np.ndarray
-) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
+def _values_of(grid: _Grid, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where the values of ``blocks`` lie in block order, and the start and
     count of each block among just those values.
 
-    ``blocks`` ascends.  When it holds every block, a slice selects all the
-    values, so a dense field pays for no gather.
+    ``blocks`` ascends; the positions are an index array into ``grid.perm``.
     """
-    if blocks.size == grid.counts.size:
-        return slice(None), grid.starts, grid.counts
     counts = grid.counts[blocks]
     starts = np.cumsum(counts) - counts
     rows = np.repeat(grid.starts[blocks] - starts, counts)

@@ -119,14 +119,12 @@ class WaveParams:
                 )
 
 
-def homogeneous_params(
-    shape: tuple[int, ...], nt: int, peak_freq: float = 12.0
-) -> WaveParams:
+def homogeneous_params(shape: tuple[int, ...], nt: int) -> WaveParams:
     """Convenience constructor: uniform medium, centered source, spread receivers.
 
-    The medium is 1500 m/s on a 10 m grid and dt is half the stability
-    limit; up to eight receivers span the first axis, a quarter of the way
-    down the second in 2D.
+    The medium is 1500 m/s on a 10 m grid, dt is half the stability limit
+    and the wavelet peaks at 12 Hz; up to eight receivers span the first
+    axis, a quarter of the way down the second in 2D.
     """
     ndim = len(shape)
     if ndim not in (1, 2):  # before the medium of that shape is filled
@@ -141,7 +139,7 @@ def homogeneous_params(
         spacing=spacing,
         dt=dt,
         slowness_sq=m,
-        wavelet=ricker_wavelet(nt, dt, peak_freq),
+        wavelet=ricker_wavelet(nt, dt, 12.0),
         source=tuple(s // 2 for s in shape),
         receivers=tuple((int(x), *depth) for x in dict.fromkeys(xs.tolist())),
         nt=nt,
@@ -158,10 +156,6 @@ def _aligned_empty(size: int) -> np.ndarray:
     raw = np.empty(size + 7)
     skip = -raw.ctypes.data % 64 // 8
     return raw[skip : skip + size]
-
-
-# float64 values per 64-byte cache line
-_LINE = 8
 
 
 def _outside(outer: slice, inner: slice) -> tuple[slice, ...]:
@@ -316,10 +310,7 @@ class _WaveKernel:
             return self._full
         if not _zero_bits(_outside(self._all, near), *fields):
             return self._full
-        # start on a cache line of the scratch array, as the full band does:
-        # an unaligned span sweeps up to a fifth slower
-        start = max(near.start - reach - self._lo, 0) // _LINE * _LINE + self._lo
-        return self._span(start, min(near.stop + reach, self._hi))
+        return self._span(max(near.start - reach, self._lo), min(near.stop + reach, self._hi))
 
     def _laplacian(self, u: np.ndarray, span, pairs, lap: np.ndarray, b: np.ndarray) -> None:
         """lap(u) on ``span`` of flat ``u`` into ``lap``, ``b`` as scratch."""
@@ -367,9 +358,7 @@ class _WaveKernel:
         """Exact transpose of ``forward`` with ``residual`` injected at the receivers."""
         lam, lam_older, flat = self._flat(lam), self._flat(lam_older), self._flat(out)
         span, pairs, lap, quiet = self._cone(self._receivers_at, self._nt - step, lam, lam_older)
-        # what the Laplacian reads, from a cache line: an unaligned product
-        # takes twice as long
-        read = slice((span.start - self._reach) // _LINE * _LINE, span.stop + self._reach)
+        read = slice(span.start - self._reach, span.stop + self._reach)  # what the Laplacian reads
         field = self._grid
         np.multiply(self._coeff[read], lam[read], out=field[read])
         new = flat[span]

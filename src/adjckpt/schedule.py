@@ -149,7 +149,7 @@ def _check_args(n: int, m: int) -> None:
 # entries of level q up to n, plus the starts among them; ``recompute_count``
 # adds that up in Python ints and builds no row.
 #
-# The split.  For n in level r of row m and n > 2m - 1, the smallest argmin
+# The split.  For n in level r of row m and n > m, the smallest argmin
 # k of k + p(k, m) + p(n-k, m-1) lies in the window
 #
 #     K = [max(1, B(m, r-2), n - B(m-1, r) - 1), min(B(m, r-1), n - B(m-1, r-1))]
@@ -169,8 +169,10 @@ def _check_args(n: int, m: int) -> None:
 # n = 60000); neither the structure nor the window is proven.  On the
 # near-full zone m < n <= 2m - 1 the level sum gives n - m + 1 too, but
 # ``recompute_count`` keeps that closed form, as it keeps m = 1 and m >= n,
-# so that those queries answer past ``_MAX_STEPS``, the int64 rows' old
-# limit.  Other step counts past it are refused.  The expanded split tree
+# so that those queries answer past ``_MAX_STEPS``.  Other step counts past
+# it are refused: the limit bounds the work a query can ask for, in
+# ``recompute_count``'s level loop (about sqrt(2n) levels at m = 2) and in
+# the windows ``_split`` lists.  The expanded split tree
 # can have up to n - 1 splits, but the write count walks each distinct
 # segment once and stops at the zones below, so it calls ``_split`` far
 # fewer times: about sqrt(2n) at m = 2, and 200 to 500 times at n = 10**8
@@ -293,8 +295,6 @@ def recompute_count(n: int, m: int) -> int:
 
 def _split(n: int, m: int) -> int:
     """Smallest k minimizing k + p(k, m) + p(n-k, m-1); only for 1 < m < n."""
-    if n <= 2 * m - 1:
-        return 1 if m == 2 else n - m + 1
     r = _level(m, n)
     top = _edge(m - 1, r)
     lo = max(1, _edge(m, r - 2), n - top - 1)

@@ -2,7 +2,7 @@ import argparse
 import hashlib
 import re
 import shlex
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +258,24 @@ class TestRun:
         assert float(row["speedup"]) == float(row["t_revolve_s"]) / float(row["t_combined_s"])
         for m, p in (("m_plain", "p_plain"), ("m_compressed", "p_compressed")):
             assert int(row[p]) == schedule.recompute_count(18, min(int(row[m]), 18))
+
+    def test_defaults_time_a_gradient_that_is_not_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "run")
+        assert code == 0
+        words = next(ln for ln in out.splitlines() if ln.startswith("gradient:")).split()
+        misfit, max_g, rel = (float(words[words.index(w) + 1]) for w in ("misfit", "max|g|", "err"))
+        assert misfit > 0 and max_g > 1 and rel <= 1e-5
+
+    def test_an_all_zero_gradient_is_named_not_divided(self, capsys, monkeypatch):
+        homogeneous = driver.homogeneous_params
+
+        def silent(shape, nt):
+            return replace(homogeneous(shape, nt), wavelet=np.zeros(nt))
+
+        monkeypatch.setattr(driver, "homogeneous_params", silent)
+        code, out, _ = run_cli(capsys, "run", "--grid", "20x20", "--nt", "6")
+        assert code == 0
+        assert "gradient: misfit 0  max|g| 0  the plain gradient is all zeros" in out
 
     def test_each_side_warms_up_then_alternates(self, capsys, monkeypatch):
         sides = []

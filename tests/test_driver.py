@@ -93,8 +93,8 @@ class TestForwardOperator:
     def test_energy_conserved_after_source_stops(self):
         # leapfrog preserves a discrete energy once the source is quiet
         nt = 500
-        params = driver.homogeneous_params((81,), nt=nt, peak_freq=15.0)
-        quiet = np.array(params.wavelet)
+        params = driver.homogeneous_params((81,), nt=nt)
+        quiet = driver.ricker_wavelet(nt, params.dt, 15.0)
         quiet[60:] = 0.0
         params = replace(params, wavelet=quiet)
         stepper = driver.WaveStepper(params)

@@ -104,8 +104,6 @@ def oracle_row(m, nmax):
 
 def split_oracle(n, m):
     """Smallest k minimizing k + p(k, m) + p(n-k, m-1), by argmin over a row."""
-    if n <= 2 * m - 1:
-        return 1 if m == 2 else n - m + 1
     row, prev = oracle_row(m, n), oracle_row(m - 1, n)
     ks = np.arange(1, n, dtype=np.int64)
     cand = ks + row[1:n] + prev[n - 1 : 0 : -1]
