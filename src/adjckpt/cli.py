@@ -79,22 +79,29 @@ def cmd_advise(args) -> int:
     p = _model_params(args)
     report = perfmodel.classify_regime(p)
     row = perfmodel.sweep(p, "memory", p.memory_bytes, p.memory_bytes, 1)[0]
+
+    def plain(value) -> str:
+        """A plain-side value, None where no raw state fits the budget."""
+        return "infeasible" if value is None else repr(value)
+
     lines = [
         f"regime: {report.regime}",
         f"threshold_compressed_fit_bytes: {report.threshold_compressed_fit!r}",
         f"threshold_uncompressed_fit_bytes: {report.threshold_uncompressed_fit!r}",
         f"m_plain: {row.m_plain}",
         f"m_compressed: {row.m_compressed}",
-        f"p_plain: {row.p_plain}",
+        f"p_plain: {plain(row.p_plain)}",
         f"p_compressed: {row.p_compressed}",
-        f"t_revolve_s: {row.t_revolve_s!r}",
+        f"t_revolve_s: {plain(row.t_revolve_s)}",
         f"t_combined_s: {row.t_combined_s!r}",
-        f"speedup: {row.speedup!r}",
+        f"speedup: {plain(row.speedup)}",
     ]
     if report.regime == perfmodel.REGIME_NO_ACTION_NEEDED:
         rec = "no checkpointing or compression needed: the whole trajectory fits in memory"
     elif report.regime == perfmodel.REGIME_COMPRESSION_FITS:
         rec = "compression alone fits the trajectory; checkpointing is avoidable"
+    elif row.speedup is None:
+        rec = "combine checkpointing with compression: only compressed checkpoints fit the budget"
     elif row.speedup > 1.0:
         rec = f"combine checkpointing with compression (predicted speedup {row.speedup:.3f})"
     else:

@@ -15,11 +15,14 @@ sweep with ``m`` slots:
 
 W and R are the write/read counts of the concrete generated schedule.
 Compressed checkpoints give ``t_combined``; plain ones give ``t_revolve``,
-the same formula for the zero-cost codec: F = 1 and t_c = t_d = 0.
-``predict`` is the one place these terms are assembled: it returns each
-side split into forward, adjoint, recompute, copy, encode and decode time.
-``evaluate`` is the one place a prediction becomes a ``SweepRow``; ``sweep``,
-``adjckpt advise`` and ``adjckpt run`` all print rows it built.
+the same formula fed the zero-cost codec's numbers: F = 1 and
+t_c = t_d = 0.  ``_breakdown`` is the one place these terms are assembled,
+each side split into forward, adjoint, recompute, copy, encode and decode
+time, which ``predict`` returns.  ``evaluate`` is the one place a
+prediction becomes a ``SweepRow``; ``sweep``, ``adjckpt advise`` and
+``adjckpt run`` all print rows it built.  A budget that holds compressed
+states but no raw one prices the combined side alone: the plain side is
+infeasible there, which is when only compression lets the sweep run.
 Speedup is quoted against the plain-checkpointing time, so values above
 1.0 mean compression wins.
 """
@@ -27,7 +30,7 @@ Speedup is quoted against the plain-checkpointing time, so values above
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from .errors import InfeasibleConfigurationError, InvalidArgumentError
@@ -113,24 +116,30 @@ def recompute_overhead(p: PerfParams, m: int) -> float:
     return recompute_count(p.nsteps, m) * p.step_cost
 
 
-def _plain(p: PerfParams) -> PerfParams:
-    """``p`` for plain checkpoints: the zero-cost codec at ratio 1."""
-    return replace(p, ratio=1.0, compress_time=0.0, decompress_time=0.0)
+# A codec as the model prices it: (ratio, compress_time, decompress_time).
+# Plain checkpoints are the zero-cost codec at ratio 1.
+_Codec = tuple[float, float, float]
+_RAW: _Codec = (1.0, 0.0, 0.0)
 
 
-def _storage(p: PerfParams, counts: ScheduleStats) -> tuple[float, float, float]:
+def _codec(p: PerfParams) -> _Codec:
+    return p.ratio, p.compress_time, p.decompress_time
+
+
+def _storage(p: PerfParams, counts: ScheduleStats, codec: _Codec) -> tuple[float, float, float]:
     """(copy, encode, decode) seconds for the generated schedule's writes and reads."""
+    ratio, compress_time, decompress_time = codec
     w, r = counts.writes, counts.reads
-    copy = (w + r) * p.state_bytes / (p.ratio * p.bandwidth)
-    return copy, w * p.compress_time, r * p.decompress_time
+    copy = (w + r) * p.state_bytes / (ratio * p.bandwidth)
+    return copy, w * compress_time, r * decompress_time
 
 
 def storage_overhead_plain(p: PerfParams, m: int) -> float:
-    return storage_overhead_compressed(_plain(p), m)
+    return sum(_storage(p, schedule_counts(p.nsteps, m), _RAW))
 
 
 def storage_overhead_compressed(p: PerfParams, m_compressed: int) -> float:
-    return sum(_storage(p, schedule_counts(p.nsteps, m_compressed)))
+    return sum(_storage(p, schedule_counts(p.nsteps, m_compressed), _codec(p)))
 
 
 @dataclass(frozen=True)
@@ -149,17 +158,17 @@ class CostBreakdown:
         return self.forward + self.adjoint + self.recompute + self.copy + self.encode + self.decode
 
 
-def _breakdown(p: PerfParams, m: int) -> CostBreakdown:
+def _breakdown(p: PerfParams, m: int, codec: _Codec) -> CostBreakdown:
     counts = schedule_counts(p.nsteps, m)  # one count of the schedule prices every term
     sweep_s = p.step_cost * p.nsteps
     recompute = counts.recompute_steps * p.step_cost
-    return CostBreakdown(sweep_s, sweep_s, recompute, *_storage(p, counts))
+    return CostBreakdown(sweep_s, sweep_s, recompute, *_storage(p, counts, codec))
 
 
 def predict(p: PerfParams, m_plain: int, m_comb: int) -> tuple[CostBreakdown, CostBreakdown]:
     """Per-term predictions for plain checkpoints in ``m_plain`` slots and
     compressed ones in ``m_comb`` slots, in that order."""
-    return _breakdown(_plain(p), m_plain), _breakdown(p, m_comb)
+    return _breakdown(p, m_plain, _RAW), _breakdown(p, m_comb, _codec(p))
 
 
 def classify_regime(p: PerfParams) -> RegimeReport:
@@ -194,17 +203,21 @@ SWEEP_AXES = tuple(_AXIS_FIELDS)
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One point of the model.  ``m_plain`` 0 marks a budget that holds no
+    raw state: the plain side is infeasible, and its time, its replay count
+    and the speedup are None (empty CSV cells)."""
+
     x: float
-    speedup: float
-    t_revolve_s: float
+    speedup: float | None
+    t_revolve_s: float | None
     t_combined_s: float
     m_plain: int
     m_compressed: int
-    p_plain: int
+    p_plain: int | None
     p_compressed: int
 
     def csv(self) -> str:
-        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
+        return ",".join("" if (v := getattr(self, f.name)) is None else repr(v) for f in fields(self))
 
 
 SWEEP_HEADER = ",".join(f.name for f in fields(SweepRow))
@@ -228,27 +241,35 @@ def _axis_values(axis: str, lo: float, hi: float, samples: int) -> list[float]:
 
 
 def evaluate(p: PerfParams, x: float, m_plain: int, m_comb: int) -> SweepRow:
-    """The model's row for plain checkpoints in ``m_plain`` slots against
-    compressed ones in ``m_comb`` slots, labelled ``x``, if its times are finite."""
-    plain, comb = predict(p, m_plain, m_comb)
-    tr, tc = plain.total, comb.total
-    if not (math.isfinite(tr) and math.isfinite(tc)):
-        raise InvalidArgumentError(f"predicted times {tr!r} s and {tc!r} s overflow a float")
+    """The model's row for plain checkpoints in ``m_plain`` slots (0: none
+    fit) against compressed ones in ``m_comb`` slots, labelled ``x``, if the
+    times it prices are finite."""
+    tr = _breakdown(p, m_plain, _RAW).total if m_plain else None
+    tc = _breakdown(p, m_comb, _codec(p)).total
+    times = [t for t in (tr, tc) if t is not None]
+    if not all(map(math.isfinite, times)):
+        shown = " and ".join(f"{t!r} s" for t in times)
+        raise InvalidArgumentError(f"predicted times {shown} overflow a float")
     return SweepRow(
         x=x,
-        speedup=tr / tc,
+        speedup=tr / tc if m_plain else None,
         t_revolve_s=tr,
         t_combined_s=tc,
         m_plain=m_plain,
         m_compressed=m_comb,
-        p_plain=recompute_count(p.nsteps, m_plain),
+        p_plain=recompute_count(p.nsteps, m_plain) if m_plain else None,
         p_compressed=recompute_count(p.nsteps, m_comb),
     )
 
 
 def _eval_point(p: PerfParams, axis: str, x: float) -> SweepRow:
-    q = replace(p, **{_AXIS_FIELDS[axis]: int(x) if axis == "nsteps" else x})
-    return evaluate(q, x, slots(q, compressed=False), slots(q, compressed=True))
+    q = PerfParams(**{**vars(p), _AXIS_FIELDS[axis]: int(x) if axis == "nsteps" else x})
+    m_comb = slots(q, compressed=True)  # refuses a budget that holds no state at all
+    try:
+        m_plain = slots(q, compressed=False)
+    except InfeasibleConfigurationError:
+        m_plain = 0
+    return evaluate(q, x, m_plain, m_comb)
 
 
 def sweep(p: PerfParams, axis: str, lo: float, hi: float, samples: int) -> list[SweepRow]:

@@ -147,7 +147,17 @@ def _check_args(n: int, m: int) -> None:
 # Row 1 fits the same picture with single-entry levels (B(1, r) = r + 1) and
 # no starts.  So p(n, m) is the sum over levels q up to n's of q times the
 # entries of level q up to n, plus the starts among them; ``recompute_count``
-# adds that up in Python ints and builds no row.
+# adds that up in Python ints, builds no row and memoises the sum.  The
+# starts come in closed form, from two hockey-stick identities over the
+# first J groups (j < J):
+#
+#     sum C(q-1+j, j)      = C(q-1+J, q)        blocks, one start each
+#     sum j * C(q-1+j, j)  = q * C(q-1+J, q+1)
+#
+# so those groups span (m-1) C(q-1+J, q) - q C(q-1+J, q+1) entries, as
+# block length g = m-1-j.  ``_starts_within`` bisects on J for the group
+# that holds entry t and divides within it; tests/oracles.py keeps the
+# group-by-group walk it replaced as the reference.
 #
 # The split.  For n in level r of row m and n > m, the smallest argmin
 # k of k + p(k, m) + p(n-k, m-1) lies in the window
@@ -229,20 +239,25 @@ def _level(m: int, n: int) -> int:
 
 
 def _starts_within(m: int, q: int, t: int) -> int:
-    """How many of the first t entries of level q >= 1 of row m >= 2 are starts."""
+    """How many of the first t entries of level q >= 1 of row m >= 2 are starts.
+
+    Bisects for J, the whole groups of blocks before entry t, whose entries
+    and starts have closed forms (see "Levels"), and divides within the next.
+    """
     if q > 1:
         t -= comb(m + q - 3, q - 2)
     if t <= 0:
         return 0
-    starts, blocks = 0, 1
-    for j, g in enumerate(range(m - 1, 2, -1)):
-        if j:
-            blocks = blocks * (q - 1 + j) // j  # C(q-1+j, j) from C(q-2+j, j-1)
-        if t <= blocks * g:
-            return starts - (-t // g)
-        starts += blocks
-        t -= blocks * g
-    return starts - (-t // 2)
+    lo, hi, before = 0, max(m - 3, 0), 0  # J <= m - 3, the groups with g >= 3
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        entries = (m - 1) * comb(q - 1 + mid, q) - q * comb(q - 1 + mid, q + 1)
+        if entries < t:
+            lo, before = mid, entries
+        else:
+            hi = mid - 1
+    g = m - 1 - lo if lo < m - 3 else 2  # past every longer group come blocks of 2
+    return comb(q - 1 + lo, q) - (before - t) // g
 
 
 def _starts(m: int, q: int, a: int, b: int) -> list[int]:
@@ -271,12 +286,16 @@ def _starts(m: int, q: int, a: int, b: int) -> list[int]:
     return out
 
 
+_COUNTS: dict[tuple[int, int], int] = {}
+
+
 def recompute_count(n: int, m: int) -> int:
     """Revolve's count of recomputed primal steps to reverse n steps with m slots.
 
     This is the optimum of Revolve's recurrence (Griewank & Walther, 2000),
     which ``generate_schedule`` attains.  The carry-aware register machine
-    can beat it, so a valid stream may replay fewer steps.
+    can beat it, so a valid stream may replay fewer steps.  Level sums are
+    memoised, so pricing a stream and reporting its count sum once.
     """
     _check_args(n, m)
     if m >= n:
@@ -285,11 +304,14 @@ def recompute_count(n: int, m: int) -> int:
         return n * (n - 1) // 2
     if n <= 2 * m - 1:
         return n - m + 1
-    total, lo = 0, m
-    for q in range(1, _level(m, n) + 1):
-        hi = min(_edge(m, q), n)
-        total += q * (hi - lo) + _starts_within(m, q, hi - lo)
-        lo = hi
+    total = _COUNTS.get((n, m))
+    if total is None:
+        total, lo = 0, m
+        for q in range(1, _level(m, n) + 1):
+            hi = min(_edge(m, q), n)
+            total += q * (hi - lo) + _starts_within(m, q, hi - lo)
+            lo = hi
+        _COUNTS[n, m] = total
     return total
 
 

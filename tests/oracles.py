@@ -1,11 +1,14 @@
-"""Test oracles for the wave operator that the package itself never calls.
+"""Test oracles that the package itself never calls.
 
 ``misfit`` is the objective the reverse sweep accumulates, and
 ``adjoint_source_series`` the transpose of ``driver.simulate``, which
-``dot_test`` checks ``simulate`` against.
+``dot_test`` checks ``simulate`` against.  ``starts_within_groups`` counts
+the starts of a Revolve level block group by block group, the reference
+for ``schedule._starts_within``'s closed form.
 """
 
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 
@@ -45,3 +48,21 @@ def dot_test(params: driver.WaveParams, trials: int = 20, seed: int = 0) -> floa
         denom = float(np.linalg.norm(d) * np.linalg.norm(r)) or 1.0
         worst = max(worst, abs(lhs - rhs) / denom)
     return worst
+
+
+def starts_within_groups(m: int, q: int, t: int) -> int:
+    """How many of the first t entries of level q >= 1 of row m >= 2 are starts,
+    walking the level's groups of blocks one at a time (schedule.py, "Levels")."""
+    if q > 1:
+        t -= comb(m + q - 3, q - 2)
+    if t <= 0:
+        return 0
+    starts, blocks = 0, 1
+    for j, g in enumerate(range(m - 1, 2, -1)):
+        if j:
+            blocks = blocks * (q - 1 + j) // j  # C(q-1+j, j) from C(q-2+j, j-1)
+        if t <= blocks * g:
+            return starts - (-t // g)
+        starts += blocks
+        t -= blocks * g
+    return starts - (-t // 2)

@@ -106,6 +106,49 @@ class TestSweep:
         assert a.read_text() == b.read_text()
 
 
+class TestCompressedOnlyBudget:
+    """Budgets under one raw state of 900 MB that still hold compressed ones."""
+
+    def test_advise_prices_only_the_compressed_side(self, capsys, tmp_path):
+        out = tmp_path / "row.csv"
+        code, text, err = run_cli(capsys, "advise", "--memory", "5e8", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert text.splitlines()[3:] == [
+            "m_plain: 0",
+            "m_compressed: 23",
+            "p_plain: infeasible",
+            "p_compressed: 5159",
+            "t_revolve_s: infeasible",
+            "t_combined_s: 1274.1635714285715",
+            "speedup: infeasible",
+            "recommendation: combine checkpointing with compression: "
+            "only compressed checkpoints fit the budget",
+        ]
+        assert out.read_text() == (
+            perfmodel.SWEEP_HEADER + "\n" + "500000000.0,,,1274.1635714285715,0,23,,5159\n"
+        )
+
+    def test_sweep_prices_the_range_below_one_raw_state(self, capsys):
+        code, text, err = run_cli(capsys, "sweep", "--axis", "memory", "--range", "1e8:2e9:4")
+        assert (code, err) == (0, "")
+        assert text.splitlines() == [
+            perfmodel.SWEEP_HEADER,
+            "100000000.0,,,3296.962142857143,0,4,,26312",
+            "271441761.65949064,,,1610.05,0,12,,8582",
+            "736806299.7280774,,,1208.2578571428573,0,34,,4477",
+            "2000000000.0,12.211489440673157,12267.2,1004.5621428571429,2,93,115359,2439",
+        ]
+
+    def test_budget_under_one_compressed_state_exits_2(self, capsys):
+        # 2e7 B is under one compressed state of 900 MB / 42 = 2.14e7 B
+        code, _, err = run_cli(capsys, "advise", "--memory", "2e7")
+        assert code == 2
+        assert err == (
+            "error: infeasible-configuration: memory 2e+07 B cannot hold even one "
+            "compressed state of 2.14e+07 B\n"
+        )
+
+
 # sha256 prefixes of stdout for advise (defaults, regimes two and three) and
 # the three standard sweeps in README; they change only if the plan changes.
 PLANNING_DIGESTS = [

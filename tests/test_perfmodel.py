@@ -101,6 +101,22 @@ class TestTotals:
         with pytest.raises(InvalidArgumentError, match="overflow"):
             pm.sweep(p, "memory", 2e9, 3e12, 5)
 
+    def test_infeasible_plain_side_leaves_its_cells_empty(self):
+        p = params(memory_bytes=5e8)  # 23 compressed states, no raw one
+        row = pm.sweep(p, "memory", 5e8, 5e8, 1)[0]
+        assert (row.m_plain, row.m_compressed) == (0, 23)
+        assert row.speedup is row.t_revolve_s is row.p_plain is None
+        assert row.t_combined_s == pm.predict(p, 1, 23)[1].total
+        assert row.p_compressed == sched.recompute_count(2500, 23)
+        assert row.csv() == f"500000000.0,,,{row.t_combined_s!r},0,23,,{row.p_compressed}"
+
+    def test_overflow_refused_with_the_plain_side_infeasible(self):
+        p = params(memory_bytes=5e8, bandwidth=1e-320)
+        with pytest.raises(InvalidArgumentError, match=r"predicted times inf s overflow"):
+            pm.evaluate(p, p.memory_bytes, 0, 23)
+        with pytest.raises(InvalidArgumentError, match="overflow"):
+            pm.sweep(p, "memory", 1e8, 2e9, 4)
+
     def test_no_recompute_when_everything_fits(self):
         p = params(nsteps=50, memory_bytes=200 * 900e6)
         w, r = (lambda s: (s.writes, s.reads))(sched.schedule_counts(50, 50))
@@ -168,6 +184,19 @@ class TestSweep:
         header = csv.splitlines()[0]
         assert header == "x,speedup,t_revolve_s,t_combined_s,m_plain,m_compressed,p_plain,p_compressed"
         assert len(csv.splitlines()) == len(rows) + 1
+
+    def test_one_point_sweep_sums_each_side_once(self, monkeypatch):
+        # the priced stream and the row's replay count share one level sum per
+        # side; at n = 2500 both slot counts lie in the write zones, so no
+        # split (which also finds a level) is walked
+        monkeypatch.setattr(sched, "_COUNTS", {})
+        monkeypatch.setattr(sched, "_WRITES", {})
+        calls, level = [], sched._level
+        monkeypatch.setattr(sched, "_level", lambda m, n: calls.append((m, n)) or level(m, n))
+        p = params(memory_bytes=60 * 900e6, ratio=1.5)
+        row = pm.sweep(p, "memory", p.memory_bytes, p.memory_bytes, 1)[0]
+        assert (row.m_plain, row.m_compressed) == (60, 90)
+        assert calls == [(60, 2500), (90, 2500)]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(InvalidArgumentError):

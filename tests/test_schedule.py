@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from adjckpt import schedule as sched
 from adjckpt.errors import InvalidArgumentError, ScheduleValidationError
+from oracles import starts_within_groups
 
 
 def brute_recompute(n, m, _cache={}):
@@ -284,6 +285,18 @@ class TestRecomputeCount:
         p = sched.recompute_count(n, m)
         assert p >= 0
         assert (p == 0) == (m >= n)
+
+
+class TestStartsWithin:
+    def test_closed_form_matches_the_group_walk(self):
+        # t = 1, 2, the whole level and seeded points inside it, for every
+        # m <= 90 and level q <= 6
+        rng = np.random.default_rng(41)
+        for m in range(2, 91):
+            for q in range(1, 7):
+                length = sched._edge(m, q) - sched._edge(m, q - 1)
+                for t in (1, 2, length, *rng.integers(1, length + 1, size=8).tolist()):
+                    assert sched._starts_within(m, q, t) == starts_within_groups(m, q, t), (m, q, t)
 
 
 class TestSplit:
